@@ -6,10 +6,15 @@ graph in reverse topological order, accumulating gradients on every leaf
 created with ``requires_grad=True``. Gradients of a parameter used several
 times accumulate by addition.
 
-Broadcasting is deliberately restricted: elementwise primitives accept equal
-shapes, a scalar on either side, or a vector applied row-wise to a matrix.
-Anything else raises, which catches most shape bugs in the d+1-dimensional
-bookkeeping this package does.
+The binary elementwise primitives (add, sub, mul, div) broadcast as numpy
+does between operands of equal rank: an axis of size 1 stretches to match
+the other side, so an (n, 1) column scales the rows of an (n, m) matrix and
+an (n, 1) column plus a (1, m) row gives an (n, m) table. Operands of
+different rank are accepted only when the lower-rank one is a scalar or
+equals the other's trailing axes, such as a (m,) row against an (n, m)
+matrix. Anything else raises, (n,) against (n, 1) included, which catches
+most shape bugs in the d+1-dimensional bookkeeping this package does. The
+backward pass sums a broadcast gradient back onto each operand's shape.
 
 Every primitive checks its forward value for NaN/Inf and raises
 :class:`NumericError` naming the offending operation, so numerical blowups
@@ -38,8 +43,6 @@ __all__ = [
     "reshape",
     "concat",
     "take_rows",
-    "scale_rows",
-    "rowdot",
     "tsum",
     "mean",
     "softmax_rows",
@@ -55,7 +58,6 @@ __all__ = [
     "leaky_relu",
     "clamp",
     "softplus",
-    "backward",
 ]
 
 # Backward of arcosh evaluates 1/sqrt(u^2 - 1) at u clamped to at least this,
@@ -114,15 +116,11 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into every requires_grad leaf."""
         if self.data.shape != ():
             raise ValueError("backward requires a scalar tensor")
-        for node, g in _run_backward(self):
-            node.grad += g
+        _run_backward(self)
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -198,9 +196,8 @@ _mark_counter = 0
 
 
 def _run_backward(root: Tensor):
-    """Topologically order the graph under ``root`` and push gradients back.
-
-    Yields (node, gradient) pairs for requires_grad leaves. Iterative DFS:
+    """Topologically order the graph under ``root`` and push gradients back
+    into the ``.grad`` of every requires_grad leaf. Iterative DFS:
     session-length forward chains overflow the recursion limit otherwise.
     Gradient accumulators live on the nodes and are cleared as soon as a node
     is processed.
@@ -231,7 +228,7 @@ def _run_backward(root: Tensor):
         if g is None:
             continue
         if node._backward is None:
-            yield node, g
+            node.grad += g
             continue
         for parent, pg in node._backward(g):
             if not parent.requires_grad:
@@ -242,23 +239,6 @@ def _run_backward(root: Tensor):
             parent._gacc = pg if acc is None else acc + pg
 
 
-def backward(loss: Tensor) -> dict[int, np.ndarray]:
-    """Gradients of a scalar loss keyed by id() of each requires_grad leaf.
-
-    Leaves in the graph that the loss does not reach keep zero gradients;
-    callers holding the leaf tensors read zeros from their ``.grad``.
-    """
-    if loss.data.shape != ():
-        raise ValueError("backward requires a scalar tensor")
-    out: dict[int, np.ndarray] = {}
-    for node, g in _run_backward(loss):
-        if id(node) in out:
-            out[id(node)] = out[id(node)] + g
-        else:
-            out[id(node)] = g
-    return out
-
-
 # -- broadcasting helpers ----------------------------------------------
 
 
@@ -266,21 +246,26 @@ def _binary_shapes(a: Tensor, b: Tensor, name: str):
     sa, sb = a.data.shape, b.data.shape
     if sa == sb or sa == () or sb == ():
         return
-    # row-wise vector-to-matrix broadcast
-    if len(sa) == 2 and sb == (sa[1],):
-        return
-    if len(sb) == 2 and sa == (sb[1],):
+    na, nb = len(sa), len(sb)
+    if na == nb:
+        if all(x == y or x == 1 or y == 1 for x, y in zip(sa, sb)):
+            return
+    elif na < nb:
+        if sb[nb - na :] == sa:
+            return
+    elif sa[na - nb :] == sb:
         return
     raise ValueError(f"shape mismatch in '{name}': {sa} vs {sb}")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast gradient over the leading axes the operand lacks and
+    over the operand's size-1 axes."""
     if grad.shape == shape:
         return grad
-    if shape == ():
-        return np.asarray(grad.sum())
-    # (n, m) gradient reduced onto a row vector (m,)
-    return grad.sum(axis=0)
+    lead = grad.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    return grad.sum(axis=axes, keepdims=True).reshape(shape)
 
 
 # -- elementwise binary primitives ---------------------------------------
@@ -439,30 +424,6 @@ def _getitem(a: Tensor, key) -> Tensor:
         return ((a, ga),)
 
     return _node(out_data, "slice", (a,), back)
-
-
-def scale_rows(a, s) -> Tensor:
-    """Multiply row i of a 2-D tensor by s[i]; s has shape (n, 1)."""
-    a, s = as_tensor(a), as_tensor(s)
-    if a.data.ndim != 2 or s.data.shape != (a.data.shape[0], 1):
-        raise ValueError(f"shape mismatch in 'scale_rows': {a.data.shape} vs {s.data.shape}")
-
-    def back(g):
-        return ((a, g * s.data), (s, (g * a.data).sum(axis=1, keepdims=True)))
-
-    return _node(a.data * s.data, "scale_rows", (a, s), back)
-
-
-def rowdot(a, b) -> Tensor:
-    """Row-paired dot products of two equal-shape 2-D tensors, shape (n, 1)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape or a.data.ndim != 2:
-        raise ValueError(f"shape mismatch in 'rowdot': {a.data.shape} vs {b.data.shape}")
-
-    def back(g):
-        return ((a, g * b.data), (b, g * a.data))
-
-    return _node((a.data * b.data).sum(axis=1, keepdims=True), "rowdot", (a, b), back)
 
 
 # -- reductions ----------------------------------------------------------

@@ -46,7 +46,6 @@ CONFIG_TYPES = {
     "margin": float,
     "negatives": int,
     "seed": int,
-    "threads": int,
     "data": str,
     "checkpoint": str,
     "output": str,
@@ -66,7 +65,6 @@ TRAIN_KEYS = (
     "margin",
     "negatives",
     "seed",
-    "threads",
 )
 
 
@@ -223,7 +221,7 @@ def cmd_train(args) -> int:
         if not ds.train or not ds.valid:
             raise UsageError("training requires nonempty train and valid splits")
         state = fit(model, cfg, ds.train, ds.valid, log=log)
-        val = metrics.evaluate(model, ds.valid, ks=(10, 20), threads=cfg.threads)
+        val = metrics.evaluate(model, ds.valid, ks=(10, 20))
         print(
             f"best_epoch={state.best_epoch} val_hr10={val.hr[10]:.6f} val_hr20={val.hr[20]:.6f} "
             f"val_mrr10={val.mrr[10]:.6f} val_mrr20={val.mrr[20]:.6f}"
@@ -253,7 +251,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"bad --ks value {args.ks!r}") from exc
     if not ds.test:
         raise UsageError("test split is empty")
-    result = metrics.evaluate(model, ds.test, ks=ks, threads=args.threads or 1)
+    result = metrics.evaluate(model, ds.test, ks=ks)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -377,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--ks", default="10,20")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -89,22 +89,14 @@ def zero_time(X: Tensor) -> Tensor:
     return ad.mul(X, mask)
 
 
-scale_rows = ad.scale_rows
-
-
 def rowwise_inner(X: Tensor, Y: Tensor) -> Tensor:
     """Lorentz inner product of paired rows, shape (n, 1)."""
-    return ad.rowdot(_flip_time(X), Y)
+    return ad.tsum(ad.mul(_flip_time(X), Y), axis=1, keepdims=True)
 
 
 def pairwise_inner(X: Tensor, Y: Tensor) -> Tensor:
     """Lorentz inner products between all row pairs, shape (n, m)."""
     return ad.matmul(_flip_time(X), ad.transpose(Y))
-
-
-def lorentz_norm_rows(V: Tensor) -> Tensor:
-    """Lorentzian norm sqrt(max(<v,v>_L, 0)) per row, shape (n, 1)."""
-    return ad.sqrt(ad.clamp(rowwise_inner(V, V), lo=0.0))
 
 
 def project_rows(M: Tensor, k) -> Tensor:
@@ -137,8 +129,8 @@ def exp_map_rows(X: Tensor, V: Tensor, k) -> Tensor:
     nrm = ad.sqrt(ad.clamp(rowwise_inner(V, V), lo=MIN_SQ_NORM))
     arg = ad.div(nrm, sk)
     out = ad.add(
-        scale_rows(X, ad.cosh(arg)),
-        scale_rows(V, ad.div(ad.mul(sk, ad.sinh(arg)), nrm)),
+        ad.mul(X, ad.cosh(arg)),
+        ad.mul(V, ad.div(ad.mul(sk, ad.sinh(arg)), nrm)),
     )
     return project_rows(out, k)
 
@@ -151,9 +143,9 @@ def log_map_rows(X: Tensor, Y: Tensor, k) -> Tensor:
     """
     ip = rowwise_inner(X, Y)
     d = ad.mul(ad.sqrt(ad.as_tensor(k)), ad.arcosh(ad.clamp(ad.div(ad.neg(ip), k), lo=1.0)))
-    u = ad.add(Y, scale_rows(X, ad.div(ip, k)))
+    u = ad.add(Y, ad.mul(X, ad.div(ip, k)))
     unorm = ad.sqrt(ad.clamp(rowwise_inner(u, u), lo=MIN_SQ_NORM))
-    return scale_rows(u, ad.div(d, unorm))
+    return ad.mul(u, ad.div(d, unorm))
 
 
 def exp_o_rows(V: Tensor, k) -> Tensor:
@@ -170,7 +162,7 @@ def exp_o_rows(V: Tensor, k) -> Tensor:
     nrm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(space, space), axis=1, keepdims=True), lo=MIN_SQ_NORM))
     arg = ad.div(nrm, sk)
     time = ad.mul(sk, ad.cosh(arg))
-    space_out = scale_rows(space, ad.div(ad.mul(sk, ad.sinh(arg)), nrm))
+    space_out = ad.mul(space, ad.div(ad.mul(sk, ad.sinh(arg)), nrm))
     return ad.concat([time, space_out], axis=1)
 
 
@@ -181,7 +173,7 @@ def log_o_rows(X: Tensor, k) -> Tensor:
     d = ad.mul(sk, ad.arcosh(ad.clamp(ad.div(x0, sk), lo=1.0)))
     space = X[:, 1:]
     snorm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(space, space), axis=1, keepdims=True), lo=MIN_SQ_NORM))
-    return ad.concat([_zero_col(X.shape[0]), scale_rows(space, ad.div(d, snorm))], axis=1)
+    return ad.concat([_zero_col(X.shape[0]), ad.mul(space, ad.div(d, snorm))], axis=1)
 
 
 def transport_rows(X: Tensor, Y: Tensor, V: Tensor, k) -> Tensor:
@@ -196,12 +188,13 @@ def transport_rows(X: Tensor, Y: Tensor, V: Tensor, k) -> Tensor:
     asserts the equivalence on separated points.
     """
     coef = ad.div(rowwise_inner(Y, V), ad.sub(k, rowwise_inner(X, Y)))
-    return ad.add(V, scale_rows(ad.add(X, Y), coef))
+    return ad.add(V, ad.mul(ad.add(X, Y), coef))
 
 
 def transport_from_origin_rows(Y: Tensor, B: Tensor, k) -> Tensor:
     """Parallel transport of tangent-at-origin rows B to base rows Y.
 
+    B is (n, d+1), or a single (d+1,) tangent carried to every row of Y.
     Uses the closed form PT_{o->y}(b) = b + <y,b>_L / (k + sqrt(k) y_0) (o + y),
     the same operator as the generic formula without the 0/0 guards; the
     denominator is at least 2k on the upper sheet.
@@ -210,7 +203,7 @@ def transport_from_origin_rows(Y: Tensor, B: Tensor, k) -> Tensor:
     y0 = Y[:, 0:1]
     coef = ad.div(rowwise_inner(Y, B), ad.add(ad.mul(sk, y0), k))
     o_plus_y = ad.concat([ad.add(y0, sk), Y[:, 1:]], axis=1)
-    return ad.add(B, scale_rows(o_plus_y, coef))
+    return ad.add(B, ad.mul(o_plus_y, coef))
 
 
 def hyp_matmul_rows(X: Tensor, W: Tensor, k) -> Tensor:
@@ -229,12 +222,7 @@ def hyp_bias_add_rows(X: Tensor, b: Tensor, k) -> Tensor:
     The time component of b is masked to zero so arbitrary parameter vectors
     stay valid tangents at the origin.
     """
-    n, width = X.shape
-    mask = np.ones(width)
-    mask[0] = 0.0
-    b_tan = ad.mul(b, ad.constant(mask))
-    B = ad.matmul(ad.constant(np.ones((n, 1))), ad.reshape(b_tan, (1, width)))
-    return exp_map_rows(X, transport_from_origin_rows(X, B, k), k)
+    return exp_map_rows(X, transport_from_origin_rows(X, zero_time(b), k), k)
 
 
 def hyp_activation_rows(X: Tensor, act, k_from, k_to) -> Tensor:

@@ -9,7 +9,6 @@ zeroed when the target falls outside the cutoff.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,18 @@ def ranked_items(scores: np.ndarray) -> np.ndarray:
 
 
 def target_rank(ranked, target: int) -> int:
-    """1-based position of the target item in a ranked list."""
-    for i, item in enumerate(ranked):
-        if item == target:
-            return i + 1
+    """1-based position of the target item in a ranked array or list.
+
+    An array, such as a whole-catalog ranking, is compared in one numpy
+    call; a list takes list.index, because converting a short list to an
+    array costs more than scanning it.
+    """
+    if isinstance(ranked, np.ndarray):
+        hits = np.flatnonzero(ranked == target)
+        if hits.size:
+            return int(hits[0]) + 1
+    elif target in ranked:
+        return ranked.index(target) + 1
     raise ValueError(f"target {target} not present in ranking")
 
 
@@ -64,28 +71,20 @@ def ndcg_at_k(ranked, target: int, k: int) -> float:
     return 1.0 / math.log2(rank + 1.0) if rank <= k else 0.0
 
 
-def evaluate(model, pairs, ks=(10, 20), threads: int = 1) -> RankingMetrics:
+def evaluate(model, pairs, ks=(10, 20)) -> RankingMetrics:
     """Mean HitRate/NDCG/MRR at each cutoff over (prefix, target) pairs.
 
-    Scores come from full forward passes with a shared read-only cache;
-    accumulation runs in pair order so results do not depend on `threads`.
+    Scores come from full forward passes with a shared read-only cache.
     """
     if not pairs:
         raise ValueError("evaluate: empty split")
     ks = tuple(sorted(ks))
     with ad.no_grad():
         caches = model.caches()
-
-        def rank_one(pair):
-            prefix, target = pair
-            scores = model.forward(prefix, caches=caches).yhat.data
-            return target_rank(ranked_items(scores), target)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                ranks = list(pool.map(rank_one, pairs))
-        else:
-            ranks = [rank_one(p) for p in pairs]
+        ranks = [
+            target_rank(ranked_items(model.forward(prefix, caches=caches).yhat.data), target)
+            for prefix, target in pairs
+        ]
 
     hr = {k: 0.0 for k in ks}
     ndcg = {k: 0.0 for k in ks}

@@ -393,15 +393,7 @@ class HCGRModel:
             width = X.shape[1]
             a_row = ad.matmul(T, self.params.attn_w[:width])  # (n,)
             a_col = ad.matmul(T, self.params.attn_w[width:])  # (n,)
-            ones_row = ad.constant(np.ones((1, n)))
-            ones_col = ad.constant(np.ones((n, 1)))
-            pair = ad.add(
-                ad.add(
-                    ad.matmul(ad.reshape(a_row, (n, 1)), ones_row),
-                    ad.matmul(ones_col, ad.reshape(a_col, (1, n))),
-                ),
-                self.params.attn_b,
-            )
+            pair = ad.add(ad.add(ad.reshape(a_row, (n, 1)), ad.reshape(a_col, (1, n))), self.params.attn_b)
             logits = ad.add(ad.leaky_relu(pair, ATTN_SLOPE), ad.constant(bias))
         attn = ad.softmax_rows(logits)
 
@@ -416,7 +408,7 @@ class HCGRModel:
         )
         C = ad.mul(ad.mul(attn, d_pair), inv_unorm)
         self_coef = ad.div(ad.tsum(ad.mul(C, G), axis=1, keepdims=True), k)
-        agg = ad.add(ad.matmul(C, X), ad.scale_rows(X, self_coef))
+        agg = ad.add(ad.matmul(C, X), ad.mul(X, self_coef))
         X_out = manifold.exp_map_rows(X, agg, k)
         return X_out, attn.data.copy()
 

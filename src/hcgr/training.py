@@ -20,7 +20,6 @@ watches validation MRR@20.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import manifold
 from .autodiff import Tensor
-from .metrics import RankingMetrics, evaluate
+from .metrics import evaluate
 from .model import HCGRModel, ModelCaches
 
 ADAM_BETA1 = 0.9
@@ -56,7 +55,6 @@ class TrainConfig:
     margin: float = 0.5
     negatives: int = 1
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -121,12 +119,10 @@ def contrastive_loss(anchor: Tensor, positive: Tensor, negatives: Tensor, margin
     anchor and positive are single (1, d+1) point rows, negatives is (m, d+1);
     everything must live on the hyperboloid of the same curvature k.
     """
-    m = negatives.shape[0]
-    if m < 1:
+    if negatives.shape[0] < 1:
         raise ValueError("contrastive_loss: need at least one negative")
     d_pos = manifold.dist_rows(anchor, positive, k)[0, 0]
-    anchor_tiled = ad.matmul(ad.constant(np.ones((m, 1))), anchor)
-    d_neg = manifold.dist_rows(anchor_tiled, negatives, k)
+    d_neg = manifold.dist_rows(anchor, negatives, k)
     return ad.tsum(ad.relu(ad.add(ad.sub(d_pos, d_neg), margin)))
 
 
@@ -189,9 +185,10 @@ def draw_negatives(
     rng: np.random.Generator, session: list[int], target: int, catalog_size: int, count: int
 ) -> np.ndarray:
     """Uniform negatives excluding the session's own items and the target."""
-    banned = set(session)
-    banned.add(target)
-    pool = np.array([i for i in range(catalog_size) if i not in banned], dtype=np.intp)
+    keep = np.ones(catalog_size, dtype=bool)
+    keep[session] = False
+    keep[target] = False
+    pool = np.flatnonzero(keep)
     if pool.size == 0:
         return pool
     replace = pool.size < count
@@ -267,7 +264,7 @@ def fit(
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.lr_at_epoch(epoch)
         loss = train_epoch(state, train_pairs, lr)
-        val = evaluate(model, valid_pairs, ks=(10, 20), threads=cfg.threads)
+        val = evaluate(model, valid_pairs, ks=(10, 20))
         line = (
             f"epoch={epoch} loss={loss:.6f} val_hr20={val.hr[20]:.6f} "
             f"val_mrr20={val.mrr[20]:.6f} val_ndcg20={val.ndcg[20]:.6f} lr={lr:.6g}"
@@ -363,13 +360,3 @@ def gradient_check(
         per_param=per_param,
     )
 
-
-def snapshot_metrics(val: RankingMetrics) -> dict:
-    return {"hr": dict(val.hr), "ndcg": dict(val.ndcg), "mrr": dict(val.mrr), "n": val.n_evaluated}
-
-
-def clone_model(model: HCGRModel) -> HCGRModel:
-    """Independent copy with the same hyperparameters and parameter values."""
-    params = model.params.state_arrays()
-    new = HCGRModel(copy.deepcopy(model.hyper), model.catalog_size, type(model.params).from_arrays(model.hyper, model.catalog_size, params))
-    return new

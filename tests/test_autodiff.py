@@ -100,12 +100,11 @@ class TestPrimitiveGradients:
         check_grad(lambda t: t[1], M34)
         check_grad(lambda t: t[:, 1:3], M34)
 
-    def test_scale_rows(self):
-        s = RNG.normal(size=(2, 1))
-        check_grad(ad.scale_rows, A23, s)
+    def test_mul_column_broadcast(self):
+        check_grad(ad.mul, A23, RNG.normal(size=(2, 1)))
 
-    def test_rowdot(self):
-        check_grad(ad.rowdot, A23, B23)
+    def test_add_outer_broadcast(self):
+        check_grad(ad.add, RNG.normal(size=(2, 1)), RNG.normal(size=(1, 3)))
 
     def test_sum_axes(self):
         check_grad(ad.tsum, A23)
@@ -192,12 +191,6 @@ class TestValues:
         ad.tsum(x).backward()
         assert np.array_equal(y.grad, np.zeros(3))
 
-    def test_backward_map_keyed_by_leaf(self):
-        x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-        loss = ad.tsum(ad.mul(x, x))
-        grads = ad.backward(loss)
-        assert np.allclose(grads[id(x)], 2 * np.ones((2, 2)))
-
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(3)
         a, b = 1.37, -0.61
@@ -240,7 +233,7 @@ class TestErrors:
         with pytest.raises(ValueError):
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
         with pytest.raises(ValueError):
-            ad.scale_rows(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 1))))
+            ad.add(ad.constant(np.ones(3)), ad.constant(np.ones((3, 1))))
 
     def test_non_scalar_backward(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)

@@ -133,14 +133,15 @@ class TestTrain:
         assert doc["hyperparams"]["dim"] == 6  # flag wins
         assert doc["rng_seed"] == 9  # file beats default
 
-    def test_unknown_config_key_aborts_before_output(self, tmp_path, corpus, capsys):
+    @pytest.mark.parametrize("key", ["frobnicate", "threads"])
+    def test_unknown_config_key_aborts_before_output(self, tmp_path, corpus, capsys, key):
         conf = tmp_path / "bad.conf"
-        conf.write_text("frobnicate=1\n", encoding="utf-8")
+        conf.write_text(f"{key}=1\n", encoding="utf-8")
         ckpt = str(tmp_path / "never.json")
         assert run("train", "--data", corpus, "--config", str(conf),
                    "--checkpoint-out", ckpt) == 2
         assert not os.path.exists(ckpt)
-        assert "frobnicate" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, tmp_path, corpus, monkeypatch):
         def boom(*a, **kw):

@@ -19,10 +19,10 @@ class TestRankedList:
         assert mt.ranked_items(scores).tolist() == [1, 2, 0, 3]
 
     def test_target_rank(self):
-        ranked = np.array([4, 2, 0, 1, 3])
-        assert mt.target_rank(ranked, 0) == 3
-        with pytest.raises(ValueError):
-            mt.target_rank(ranked, 9)
+        for ranked in (np.array([4, 2, 0, 1, 3]), [4, 2, 0, 1, 3]):
+            assert mt.target_rank(ranked, 0) == 3
+            with pytest.raises(ValueError):
+                mt.target_rank(ranked, 9)
 
 
 class TestPointwiseMetrics:
@@ -130,19 +130,6 @@ class TestEvaluate:
         assert result.hr == {1: 0.0, 2: 1.0}
         assert result.mrr == {1: 0.0, 2: 0.5}
         assert result.n_evaluated == 1
-
-    def test_threads_do_not_change_results(self):
-        rng = np.random.default_rng(2)
-        table = rng.normal(size=(40, 15))
-        pairs = [([int(rng.integers(15))], int(rng.integers(15))) for _ in range(40)]
-        calls = {"i": 0}
-
-        def score_fn(prefix):
-            return table[prefix[0] % 40]
-
-        a = mt.evaluate(_StubModel(score_fn, 15), pairs, ks=(5, 10), threads=1)
-        b = mt.evaluate(_StubModel(score_fn, 15), pairs, ks=(5, 10), threads=4)
-        assert a == b
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):

@@ -177,6 +177,17 @@ class TestNegativeSampling:
         negs = tr.draw_negatives(rng, [0, 1], 2, catalog_size=3, count=1)
         assert negs.size == 0
 
+    def test_draws_are_pinned_for_a_fixed_seed(self):
+        # the pool is the sorted catalog minus session and target, so the
+        # draws and the generator's state depend only on the seed
+        rng = np.random.default_rng(7)
+        session = [3, 5, 3, 11]
+        assert tr.draw_negatives(rng, session, 8, catalog_size=20, count=6).tolist() == [18, 12, 16, 14, 10, 19]
+        assert tr.draw_negatives(rng, session, 8, catalog_size=20, count=6).tolist() == [9, 2, 0, 14, 13, 16]
+        # a pool smaller than the count draws with replacement
+        assert tr.draw_negatives(rng, [0, 1, 2], 3, catalog_size=6, count=5).tolist() == [4, 4, 5, 4, 5]
+        assert rng.integers(1000) == 445
+
 
 def _toy_pairs(n_items=20, n_sessions=200, seed=0):
     sessions = synth_hierarchical(n_items, n_sessions, seed=seed)
