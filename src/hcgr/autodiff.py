@@ -16,6 +16,16 @@ matrix. Anything else raises, (n,) against (n, 1) included, which catches
 most shape bugs in the d+1-dimensional bookkeeping this package does. The
 backward pass sums a broadcast gradient back onto each operand's shape.
 
+The model runs whole minibatches as (B, n, d+1) tensors, so ``matmul`` also
+takes a batch against a batch, a shared matrix or a vector, ``transpose``
+swaps the last two axes, ``softmax_rows`` normalises over the last axis at
+any rank, and ``take_rows`` gathers by an index array of any shape.
+
+Indexing a tensor with a basic slice (``X[..., 1:]``) returns a view of its
+data rather than a copy. Nothing may write into a node's ``.data`` in place
+while a graph that uses it is alive; the optimizer updates parameters only
+after backward.
+
 Every primitive checks its forward value for NaN/Inf and raises
 :class:`NumericError` naming the offending operation, so numerical blowups
 surface where they happen rather than as a garbage loss.
@@ -173,8 +183,10 @@ def constant(value) -> Tensor:
 
 def _node(out_data: np.ndarray, name: str, parents, backward_fn) -> Tensor:
     # a single reduction is much cheaper than isfinite().all(); any NaN/Inf
-    # entry makes the sum non-finite (two infinities of opposite sign give NaN)
-    if not math.isfinite(out_data.sum()):
+    # entry makes the sum non-finite (two infinities of opposite sign give NaN).
+    # np.add.reduce skips the Python wrapper of ndarray.sum, a measurable
+    # share of the cost on the small arrays of a one-session forward.
+    if not math.isfinite(np.add.reduce(out_data, axis=None)):
         raise NumericError(f"non-finite values produced by '{name}'")
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -330,45 +342,40 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product of 1-D, 2-D or batched 3-D operands, as numpy's matmul.
+
+    Besides any pair of 1-D and 2-D operands, a (B, n, m) batch takes a
+    (B, m, p) batch, an (m, p) matrix or an (m,) vector shared by the batch.
+    """
     a, b = as_tensor(a), as_tensor(b)
     da, db = a.data, b.data
-    if da.ndim == 0 or db.ndim == 0:
-        raise ValueError("matmul requires 1-D or 2-D operands")
-    if da.shape[-1] != db.shape[0]:
+    if da.ndim not in (1, 2, 3) or db.ndim not in (1, 2, 3):
+        raise ValueError("matmul requires 1-D, 2-D or 3-D operands")
+    inner = db.shape[0] if db.ndim == 1 else db.shape[-2]
+    if da.shape[-1] != inner or (db.ndim == 3 and da.shape[:-2] != db.shape[:-2]):
         raise ValueError(f"shape mismatch in 'matmul': {da.shape} @ {db.shape}")
 
-    if da.ndim == 2 and db.ndim == 2:
-
-        def back(g):
-            return ((a, g @ db.T), (b, da.T @ g))
-
-    elif da.ndim == 2 and db.ndim == 1:
-
-        def back(g):
-            return ((a, np.outer(g, db)), (b, da.T @ g))
-
-    elif da.ndim == 1 and db.ndim == 2:
-
-        def back(g):
-            return ((a, db @ g), (b, np.outer(da, g)))
-
-    else:  # 1-D dot 1-D -> scalar
-
-        def back(g):
-            return ((a, g * db), (b, g * da))
+    def back(g):
+        ga = np.multiply.outer(g, db) if db.ndim == 1 else g @ np.swapaxes(db, -1, -2)
+        if db.ndim == 3:
+            gb = np.swapaxes(da, -1, -2) @ g
+        else:  # b is shared by every row of a, so its gradient sums over them
+            gb = da.reshape(-1, inner).T @ g.reshape((-1,) + db.shape[1:])
+        return ((a, ga), (b, gb))
 
     return _node(da @ db, "matmul", (a, b), back)
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes of a 2-D or batched 3-D tensor."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ValueError("transpose requires a 2-D tensor")
+    if a.data.ndim not in (2, 3):
+        raise ValueError("transpose requires a 2-D or 3-D tensor")
 
     def back(g):
-        return ((a, g.T),)
+        return ((a, np.swapaxes(g, -1, -2)),)
 
-    return _node(a.data.T.copy(), "transpose", (a,), back)
+    return _node(np.swapaxes(a.data, -1, -2).copy(), "transpose", (a,), back)
 
 
 def reshape(a, shape) -> Tensor:
@@ -399,7 +406,9 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def take_rows(a, indices) -> Tensor:
-    """Gather rows of a 2-D tensor; duplicate indices accumulate gradients."""
+    """Gather rows of a 2-D tensor by an index array of any shape; the result
+    has shape indices.shape + (columns,). Duplicate indices accumulate
+    gradients."""
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ValueError("take_rows requires a 2-D tensor")
@@ -414,16 +423,13 @@ def take_rows(a, indices) -> Tensor:
 
 
 def _getitem(a: Tensor, key) -> Tensor:
-    out_data = a.data[key]
-    if isinstance(out_data, np.ndarray):
-        out_data = out_data.copy()
-
+    # a basic slice is a view of a.data, not a copy (module docstring)
     def back(g):
         ga = np.zeros_like(a.data)
         ga[key] += g
         return ((a, ga),)
 
-    return _node(out_data, "slice", (a,), back)
+    return _node(a.data[key], "slice", (a,), back)
 
 
 # -- reductions ----------------------------------------------------------
@@ -448,10 +454,10 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def softmax_rows(a) -> Tensor:
-    """Numerically stable softmax along the last axis of a 1-D or 2-D tensor."""
+    """Numerically stable softmax along the last axis, at any rank >= 1."""
     a = as_tensor(a)
-    if a.data.ndim not in (1, 2):
-        raise ValueError("softmax_rows requires a 1-D or 2-D tensor")
+    if a.data.ndim == 0:
+        raise ValueError("softmax_rows requires at least one axis")
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)

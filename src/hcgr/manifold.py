@@ -7,9 +7,12 @@ the manifold is ``-1/k``. Index 0 is the time-like coordinate.
 
 Two API layers:
 
-* Batched functions suffixed ``_rows`` operate on ``(n, d+1)`` autodiff
-  tensors, one point or tangent vector per row, and are fully differentiable
-  (including through ``k``). The network is built from these.
+* Batched functions suffixed ``_rows`` operate on autodiff tensors whose
+  last axis holds one point or tangent vector of d+1 coordinates: ``(n, d+1)``
+  rows, or ``(B, n, d+1)`` padded session batches. They read the time
+  coordinate as ``[..., 0:1]`` and the space block as ``[..., 1:]``, reduce
+  over the last axis, and are fully differentiable (including through ``k``).
+  The network is built from these.
 * A typed single-point API (:class:`LorentzPoint`, :class:`TangentVector`)
   with explicit validation, for tests, analyses and anything that wants the
   geometry without the autodiff machinery.
@@ -55,7 +58,6 @@ def curvature_from_raw(kappa_raw) -> Tensor:
 
 _FLIP_MASKS: dict[int, Tensor] = {}
 _ZERO_MASKS: dict[int, Tensor] = {}
-_ZERO_COLS: dict[int, Tensor] = {}
 
 
 def _flip_mask(width: int) -> Tensor:
@@ -65,13 +67,6 @@ def _flip_mask(width: int) -> Tensor:
         arr[0] = -1.0
         mask = _FLIP_MASKS[width] = ad.constant(arr)
     return mask
-
-
-def _zero_col(n: int) -> Tensor:
-    col = _ZERO_COLS.get(n)
-    if col is None:
-        col = _ZERO_COLS[n] = ad.constant(np.zeros((n, 1)))
-    return col
 
 
 def _flip_time(X: Tensor) -> Tensor:
@@ -90,21 +85,21 @@ def zero_time(X: Tensor) -> Tensor:
 
 
 def rowwise_inner(X: Tensor, Y: Tensor) -> Tensor:
-    """Lorentz inner product of paired rows, shape (n, 1)."""
-    return ad.tsum(ad.mul(_flip_time(X), Y), axis=1, keepdims=True)
+    """Lorentz inner product of paired rows, shape (..., n, 1)."""
+    return ad.tsum(ad.mul(_flip_time(X), Y), axis=-1, keepdims=True)
 
 
 def pairwise_inner(X: Tensor, Y: Tensor) -> Tensor:
-    """Lorentz inner products between all row pairs, shape (n, m)."""
+    """Lorentz inner products between all row pairs, shape (..., n, m)."""
     return ad.matmul(_flip_time(X), ad.transpose(Y))
 
 
 def project_rows(M: Tensor, k) -> Tensor:
     """Repair rows onto the hyperboloid by recomputing the time coordinate."""
-    space = M[:, 1:]
-    sq = ad.tsum(ad.mul(space, space), axis=1, keepdims=True)
+    space = M[..., 1:]
+    sq = ad.tsum(ad.mul(space, space), axis=-1, keepdims=True)
     time = ad.sqrt(ad.add(sq, k))
-    return ad.concat([time, space], axis=1)
+    return ad.concat([time, space], axis=-1)
 
 
 def origin_rows(n: int, d: int, k) -> Tensor:
@@ -114,7 +109,7 @@ def origin_rows(n: int, d: int, k) -> Tensor:
 
 
 def dist_rows(X: Tensor, Y: Tensor, k) -> Tensor:
-    """Geodesic distance between paired rows, shape (n, 1)."""
+    """Geodesic distance between paired rows, shape (..., n, 1)."""
     u = ad.clamp(ad.div(ad.neg(rowwise_inner(X, Y)), k), lo=1.0)
     return ad.mul(ad.sqrt(ad.as_tensor(k)), ad.arcosh(u))
 
@@ -158,22 +153,23 @@ def exp_o_rows(V: Tensor, k) -> Tensor:
     extra repair step is applied.
     """
     sk = ad.sqrt(ad.as_tensor(k))
-    space = V[:, 1:]
-    nrm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(space, space), axis=1, keepdims=True), lo=MIN_SQ_NORM))
+    space = V[..., 1:]
+    nrm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), lo=MIN_SQ_NORM))
     arg = ad.div(nrm, sk)
     time = ad.mul(sk, ad.cosh(arg))
     space_out = ad.mul(space, ad.div(ad.mul(sk, ad.sinh(arg)), nrm))
-    return ad.concat([time, space_out], axis=1)
+    return ad.concat([time, space_out], axis=-1)
 
 
 def log_o_rows(X: Tensor, k) -> Tensor:
     """Logarithmic map at the origin; the time column of the result is 0 exactly."""
     sk = ad.sqrt(ad.as_tensor(k))
-    x0 = X[:, 0:1]
+    x0 = X[..., 0:1]
     d = ad.mul(sk, ad.arcosh(ad.clamp(ad.div(x0, sk), lo=1.0)))
-    space = X[:, 1:]
-    snorm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(space, space), axis=1, keepdims=True), lo=MIN_SQ_NORM))
-    return ad.concat([_zero_col(X.shape[0]), ad.mul(space, ad.div(d, snorm))], axis=1)
+    space = X[..., 1:]
+    snorm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), lo=MIN_SQ_NORM))
+    zero = ad.constant(np.zeros(X.shape[:-1] + (1,)))
+    return ad.concat([zero, ad.mul(space, ad.div(d, snorm))], axis=-1)
 
 
 def transport_rows(X: Tensor, Y: Tensor, V: Tensor, k) -> Tensor:
@@ -194,15 +190,15 @@ def transport_rows(X: Tensor, Y: Tensor, V: Tensor, k) -> Tensor:
 def transport_from_origin_rows(Y: Tensor, B: Tensor, k) -> Tensor:
     """Parallel transport of tangent-at-origin rows B to base rows Y.
 
-    B is (n, d+1), or a single (d+1,) tangent carried to every row of Y.
+    B has the shape of Y, or is a single (d+1,) tangent carried to every row.
     Uses the closed form PT_{o->y}(b) = b + <y,b>_L / (k + sqrt(k) y_0) (o + y),
     the same operator as the generic formula without the 0/0 guards; the
     denominator is at least 2k on the upper sheet.
     """
     sk = ad.sqrt(ad.as_tensor(k))
-    y0 = Y[:, 0:1]
+    y0 = Y[..., 0:1]
     coef = ad.div(rowwise_inner(Y, B), ad.add(ad.mul(sk, y0), k))
-    o_plus_y = ad.concat([ad.add(y0, sk), Y[:, 1:]], axis=1)
+    o_plus_y = ad.concat([ad.add(y0, sk), Y[..., 1:]], axis=-1)
     return ad.add(B, ad.mul(o_plus_y, coef))
 
 

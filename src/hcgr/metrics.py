@@ -15,6 +15,9 @@ import numpy as np
 
 from . import autodiff as ad
 
+# Pairs per batched forward pass in evaluate.
+EVAL_CHUNK = 32
+
 
 @dataclass
 class RankingMetrics:
@@ -74,17 +77,19 @@ def ndcg_at_k(ranked, target: int, k: int) -> float:
 def evaluate(model, pairs, ks=(10, 20)) -> RankingMetrics:
     """Mean HitRate/NDCG/MRR at each cutoff over (prefix, target) pairs.
 
-    Scores come from full forward passes with a shared read-only cache.
+    Scores come from batched forward passes over chunks of EVAL_CHUNK pairs
+    with a shared read-only cache; each pair is then ranked on its own.
     """
     if not pairs:
         raise ValueError("evaluate: empty split")
     ks = tuple(sorted(ks))
+    ranks = []
     with ad.no_grad():
         caches = model.caches()
-        ranks = [
-            target_rank(ranked_items(model.forward(prefix, caches=caches).yhat.data), target)
-            for prefix, target in pairs
-        ]
+        for start in range(0, len(pairs), EVAL_CHUNK):
+            chunk = pairs[start : start + EVAL_CHUNK]
+            yhat = model.forward(model.batch([prefix for prefix, _ in chunk]), caches=caches).yhat.data
+            ranks.extend(target_rank(ranked_items(row), target) for row, (_, target) in zip(yhat, chunk))
 
     hr = {k: 0.0 for k in ks}
     ndcg = {k: 0.0 for k in ks}

@@ -9,6 +9,19 @@ self-attention blocks, blend the long-term (self-attention) and short-term
 catalog with tangent-space dot products, multiplied by a learned positive
 scale, followed by a softmax.
 
+The pipeline runs on batches. ``HCGRModel.batch`` turns B sessions into a
+SessionBatch: node ids padded to the longest session's n_max nodes, a
+(B, n_max, n_max) graph-attention offset (log union weight on neighbour
+pairs, MASK_LOGIT elsewhere) and a (B, 1, n_max) self-attention key mask.
+``forward`` then runs every stage once over (B, n_max, d+1) tensors, reads
+out each session's last node, and scores the catalog with one (B, V)
+product. Padding slots repeat a valid item, so they sit on the hyperboloid
+and every manifold op stays finite on them; each neighbours only itself and
+is masked as a key, so no real node attends to it, it changes no real
+node's output and it receives exactly zero gradient. Training, evaluation
+and single-session requests all go through this path; one session is a
+batch of one.
+
 Every trainable parameter is an unconstrained array in the tangent space at
 the origin (or a plain Euclidean matrix/scalar); the manifold structure
 enters only through the exponential/logarithmic maps inside the forward
@@ -240,8 +253,28 @@ class ModelCaches:
 
 
 @dataclass
+class SessionBatch:
+    """Sessions padded to a common node count for one batched forward pass.
+
+    Session b fills the first len(graphs[b].nodes) node slots of row b; the
+    slots after them are padding.
+    """
+
+    graphs: list[SessionGraph]
+    node_ids: np.ndarray  # (B, n_max) item of each slot; padding holds item 0
+    bias: np.ndarray  # (B, n_max, n_max) graph-attention logit offsets
+    key_mask: np.ndarray  # (B, 1, n_max) self-attention logit offsets
+    last: np.ndarray  # (B,) slot of each session's last click
+
+
+@dataclass
 class Traces:
-    """Attention weights captured during one forward pass."""
+    """Attention weights captured during one forward pass.
+
+    For one session the arrays are (n, n) attention matrices and (n, d+1)
+    points; for a SessionBatch they keep the leading batch axis and padding
+    slots, and node_items is empty.
+    """
 
     node_items: tuple[int, ...]
     graph_attention: list[np.ndarray] = field(default_factory=list)
@@ -253,9 +286,9 @@ class Traces:
 
 @dataclass
 class ForwardResult:
-    yhat: Tensor  # (V,) probability vector
-    readout: Tensor  # (d+1,) tangent vector at the origin
-    graph: SessionGraph
+    yhat: Tensor  # (V,) probability vector, (B, V) for a batch
+    readout: Tensor  # (d+1,) tangent vector at the origin, (B, d+1) for a batch
+    graph: SessionGraph | None  # None for a batch
     traces: Traces
 
 
@@ -299,118 +332,159 @@ class HCGRModel:
             return manifold.dist_rows(o, caches.point_table, k).data[:, 0].copy()
 
     # -- forward pass -----------------------------------------------------
+    def batch(self, sessions) -> SessionBatch:
+        """Graphs, padded node ids and attention masks of several sessions.
+
+        Each session is cut to its most recent max_session_len clicks. Real
+        slots get the log union weight of each neighbour as graph-attention
+        offset (0 under gcn_mean) and MASK_LOGIT off the neighbourhood. A
+        padding slot neighbours only itself, and its key column is masked in
+        self-attention, so no real slot ever attends to it.
+        """
+        graphs = []
+        for items in sessions:
+            items = list(items)[-self.hyper.max_session_len :]
+            if not items:
+                raise ValueError("empty session")
+            if min(items) < 0 or max(items) >= self.catalog_size:
+                raise ValueError("item id out of catalog range")
+            graphs.append(build_graph(items))
+        if not graphs:
+            raise ValueError("no sessions to batch")
+        n_max = max(len(g.nodes) for g in graphs)
+        uniform = self.hyper.aggregator == "gcn_mean"
+        node_ids = np.zeros((len(graphs), n_max), dtype=np.intp)
+        bias = np.full((len(graphs), n_max, n_max), MASK_LOGIT)
+        key_mask = np.zeros((len(graphs), 1, n_max))
+        for b, g in enumerate(graphs):
+            n = len(g.nodes)
+            node_ids[b, :n] = g.nodes
+            for i in range(n):
+                for j, w in neighborhood(g, i):
+                    bias[b, i, j] = 0.0 if uniform else math.log(w)
+            pad = np.arange(n, n_max)
+            bias[b, pad, pad] = 0.0
+            key_mask[b, 0, n:] = MASK_LOGIT
+        last = np.array([g.position_of_last for g in graphs], dtype=np.intp)
+        return SessionBatch(graphs, node_ids, bias, key_mask, last)
+
     def forward(self, items, caches: ModelCaches | None = None, collect_points: bool = False) -> ForwardResult:
-        items = list(items)
-        if not items:
-            raise ValueError("forward: empty session")
-        if len(items) > self.hyper.max_session_len:
-            items = items[-self.hyper.max_session_len :]
-        if min(items) < 0 or max(items) >= self.catalog_size:
-            raise ValueError("forward: item id out of catalog range")
+        """Catalog probabilities for one session (item ids) or a SessionBatch.
+
+        Both run the same batched pipeline over (B, n_max, d+1) tensors; one
+        session is a batch of one whose result drops the batch axis.
+        """
+        single = not isinstance(items, SessionBatch)
+        sb = self.batch([items]) if single else items
         if caches is None:
             caches = self.caches()
         p = self.params
-
-        g = build_graph(items)
-        traces = Traces(node_items=g.nodes)
+        traces = Traces(node_items=sb.graphs[0].nodes if single else ())
         collected: dict[str, np.ndarray] = {}
 
-        X = ad.take_rows(caches.point_table, np.asarray(g.nodes, dtype=np.intp))
+        X = ad.take_rows(caches.point_table, sb.node_ids)
         if collect_points:
-            collected["embed"] = X.data.copy()
+            collected["embed"] = X.data
 
         per_layer = [X]
         for l in range(1, self.hyper.graph_layers + 1):
             X_in = manifold.transfer_rows(per_layer[-1], caches.graph_k[l - 1], caches.graph_k[l])
-            X_out, attn = self._graph_attention(g, X_in, caches.graph_k[l])
+            X_out, attn = self._graph_attention(sb.bias, X_in, caches.graph_k[l])
             traces.graph_attention.append(attn)
             per_layer.append(X_out)
             if collect_points:
-                collected[f"graph_layer_{l}"] = X_out.data.copy()
+                collected[f"graph_layer_{l}"] = X_out.data
 
         Z, fusion_weights = self._fuse(per_layer, caches.graph_k)
         traces.fusion_weights = fusion_weights
         if collect_points:
-            collected["fused"] = Z.data.copy()
+            collected["fused"] = Z.data
 
         E = Z
         prev_k = caches.graph_k[-1]
         for j, blk in enumerate(p.blocks):
             E_in = manifold.transfer_rows(E, prev_k, caches.block_k[j])
-            E, attn = self._self_attention_block(E_in, blk, caches.block_k[j])
+            E, attn = self._self_attention_block(E_in, sb.key_mask, blk, caches.block_k[j])
             traces.self_attention.append(attn)
             prev_k = caches.block_k[j]
             if collect_points:
-                collected[f"block_{j}"] = E.data.copy()
+                collected[f"block_{j}"] = E.data
 
-        pos = g.position_of_last
-        long_tan = manifold.log_o_rows(E, prev_k)[pos]
-        short_tan = manifold.log_o_rows(Z, caches.graph_k[-1])[pos]
+        at_last = (np.arange(len(sb.last)), sb.last)
+        long_tan = manifold.log_o_rows(E[at_last], prev_k)
+        short_tan = manifold.log_o_rows(Z[at_last], caches.graph_k[-1])
         gate = ad.sigmoid(p.gate_logit)
         o_vec = ad.add(ad.mul(gate, long_tan), ad.mul(ad.sub(1.0, gate), short_tan))
         traces.gate = float(gate.data)
 
-        yhat = self.score(o_vec, caches)
+        if single:
+            o_vec = o_vec[0]
+            traces.graph_attention = [a[0] for a in traces.graph_attention]
+            traces.self_attention = [a[0] for a in traces.self_attention]
+            collected = {name: pts[0] for name, pts in collected.items()}
         if collect_points:
             traces.points = collected
-        return ForwardResult(yhat, o_vec, g, traces)
+        return ForwardResult(self.score(o_vec, caches), o_vec, sb.graphs[0] if single else None, traces)
 
     def score(self, o_vec: Tensor, caches: ModelCaches | None = None) -> Tensor:
-        """Catalog probabilities from a readout tangent vector.
+        """Catalog probabilities from readout tangent vectors.
 
         Logits are dot products of the readout with each item's origin-tangent
         row (zero time coordinate on both sides), multiplied by the learned
-        scale exp(logit_scale), followed by a softmax.
+        scale exp(logit_scale), followed by a softmax. A (d+1,) readout gives
+        (V,) through one matrix-vector product, a (B, d+1) batch (B, V)
+        through one matrix product.
         """
         if caches is None:
             caches = self.caches()
         scale = ad.exp(self.params.logit_scale)
-        return ad.softmax_rows(ad.mul(scale, ad.matmul(caches.tangent_table, o_vec)))
+        if o_vec.ndim == 1:
+            logits = ad.matmul(caches.tangent_table, o_vec)
+        else:
+            logits = ad.matmul(o_vec, ad.transpose(caches.tangent_table))
+        return ad.softmax_rows(ad.mul(scale, logits))
 
     # -- stages ------------------------------------------------------------
-    def _graph_attention(self, g: SessionGraph, X: Tensor, k) -> tuple[Tensor, np.ndarray]:
+    def _graph_attention(self, bias: np.ndarray, X: Tensor, k) -> tuple[Tensor, np.ndarray]:
         """One round of neighborhood attention in the tangent bundle.
 
         The score of a pair (i, j) is LeakyReLU(a_row.T_i + a_col.T_j + b) plus
-        the log of the transition count, with T the origin-tangents of the
+        the pair's offset in ``bias`` (the log of the transition count, or
+        MASK_LOGIT off the neighbourhood), with T the origin-tangents of the
         endpoints. A linear score would lose the centre-node term and the
         bias to the row softmax's shift invariance; through the LeakyReLU
         they change the weights of any row whose scores straddle the kink.
         Weighted neighbor tangents (logarithms at the node) are combined and
         mapped back with exp.
         """
-        n = len(g.nodes)
-        uniform = self.hyper.aggregator == "gcn_mean"
-        bias = np.full((n, n), MASK_LOGIT)
-        for i in range(n):
-            for j, w in neighborhood(g, i):
-                bias[i, j] = 0.0 if uniform else math.log(w)
-
-        if uniform:
+        n = X.shape[-2]
+        if self.hyper.aggregator == "gcn_mean":
             logits = ad.constant(bias)
         else:
             T = manifold.log_o_rows(X, k)
-            width = X.shape[1]
-            a_row = ad.matmul(T, self.params.attn_w[:width])  # (n,)
-            a_col = ad.matmul(T, self.params.attn_w[width:])  # (n,)
-            pair = ad.add(ad.add(ad.reshape(a_row, (n, 1)), ad.reshape(a_col, (1, n))), self.params.attn_b)
+            width = X.shape[-1]
+            a_row = ad.matmul(T, self.params.attn_w[:width])  # (B, n)
+            a_col = ad.matmul(T, self.params.attn_w[width:])  # (B, n)
+            pair = ad.add(ad.add(ad.reshape(a_row, (-1, n, 1)), ad.reshape(a_col, (-1, 1, n))), self.params.attn_b)
             logits = ad.add(ad.leaky_relu(pair, ATTN_SLOPE), ad.constant(bias))
         attn = ad.softmax_rows(logits)
 
         # Sum_j w_ij log_{x_i}(x_j) expanded through the pairwise Lorentz Gram
         # matrix: log_{x_i}(x_j) = d_ij/|u_ij| * (x_j + (G_ij/k) x_i) with
         # |u_ij|^2 = G_ij^2/k - k, so the aggregate is C X + diag(C G^T/k) X.
+        # log_x(x) = 0, so the diagonal of d_ij/|u_ij|, a 0/0 that roundoff
+        # sends to 0 or about 1, is masked to exactly 0.
         G = manifold.pairwise_inner(X, X)
         d_pair = ad.mul(ad.sqrt(ad.as_tensor(k)), ad.arcosh(ad.clamp(ad.div(ad.neg(G), k), lo=1.0)))
         inv_unorm = ad.div(
             1.0,
             ad.sqrt(ad.clamp(ad.sub(ad.div(ad.mul(G, G), k), k), lo=manifold.MIN_SQ_NORM)),
         )
-        C = ad.mul(ad.mul(attn, d_pair), inv_unorm)
-        self_coef = ad.div(ad.tsum(ad.mul(C, G), axis=1, keepdims=True), k)
+        C = ad.mul(ad.mul(ad.mul(attn, d_pair), inv_unorm), ad.constant(1.0 - np.eye(n)))
+        self_coef = ad.div(ad.tsum(ad.mul(C, G), axis=-1, keepdims=True), k)
         agg = ad.add(ad.matmul(C, X), ad.mul(X, self_coef))
         X_out = manifold.exp_map_rows(X, agg, k)
-        return X_out, attn.data.copy()
+        return X_out, attn.data
 
     def _fuse(self, per_layer: list[Tensor], graph_k: list[Tensor]) -> tuple[Tensor, np.ndarray]:
         """Convex tangent-space combination of all aggregation depths."""
@@ -423,21 +497,23 @@ class HCGRModel:
             acc = term if acc is None else ad.add(acc, term)
         return manifold.exp_o_rows(acc, graph_k[-1]), weights.data.copy()
 
-    def _self_attention_block(self, E: Tensor, blk: BlockParams, k) -> tuple[Tensor, np.ndarray]:
+    def _self_attention_block(self, E: Tensor, key_mask: np.ndarray, blk: BlockParams, k) -> tuple[Tensor, np.ndarray]:
         """Scaled dot-product self-attention and feed-forward, both computed
         through the tangent space at the origin, with a tangent skip link.
+        ``key_mask`` offsets the logits of padding keys by MASK_LOGIT.
 
         Where a map onto the hyperboloid is immediately followed by the
         logarithm at the origin the pair is dropped (it is the identity on
         zero-time tangents), so intermediate points are materialized only
         where the bias terms genuinely need them.
         """
-        width = E.shape[1]
+        width = E.shape[-1]
         T = manifold.log_o_rows(E, k)
         q = ad.matmul(T, blk.w_query)
         key = ad.matmul(T, blk.w_key)
         v = ad.matmul(T, blk.w_value)
-        attn = ad.softmax_rows(ad.div(ad.matmul(q, ad.transpose(key)), math.sqrt(width)))
+        scores = ad.div(ad.matmul(q, ad.transpose(key)), math.sqrt(width))
+        attn = ad.softmax_rows(ad.add(scores, ad.constant(key_mask)))
         f_tan = manifold.zero_time(ad.matmul(attn, v))  # log_o of the attention output point
 
         h1 = manifold.exp_o_rows(ad.matmul(f_tan, ad.transpose(blk.ff_w1)), k)
@@ -446,7 +522,7 @@ class HCGRModel:
         h2 = manifold.exp_o_rows(ad.matmul(act_tan, ad.transpose(blk.ff_w2)), k)
         h2 = manifold.hyp_bias_add_rows(h2, blk.ff_b2, k)
         out = manifold.exp_o_rows(ad.add(manifold.log_o_rows(h2, k), f_tan), k)
-        return out, attn.data.copy()
+        return out, attn.data
 
 
 # ---------------------------------------------------------------------------

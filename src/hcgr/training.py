@@ -6,11 +6,14 @@ The total objective per batch is
 
 where the margin term hinges on geodesic distances between the session
 representation (mapped back onto the item manifold), the target item and
-uniformly sampled negative items. The L2 penalty covers every parameter
-except the curvature scalars (shrinking those toward a softplus fixed point
-would be an arbitrary prior, not regularization) and the catalog logit scale
-(the penalty would pull the scale back to 1, the uniform-softmax regime it
-exists to leave).
+uniformly sampled negative items. A batch is scored by one forward pass over
+its padded SessionBatch, so its loss is one autodiff graph whose size does
+not grow with the batch: the catalog softmax, the cross-entropy and the
+margin hinges each run once over (B, ...) tensors. The L2 penalty covers
+every parameter except the curvature scalars (shrinking those toward a
+softplus fixed point would be an arbitrary prior, not regularization) and
+the catalog logit scale (the penalty would pull the scale back to 1, the
+uniform-softmax regime it exists to leave).
 
 Optimization is plain Adam over the flat/tangent parameter arrays; the
 manifold only enters through the forward pass, so no Riemannian machinery is
@@ -98,18 +101,25 @@ class TrainState:
 # ---------------------------------------------------------------------------
 
 
-def cross_entropy_loss(yhat: Tensor, target: int) -> Tensor:
+def cross_entropy_loss(yhat: Tensor, target) -> Tensor:
     """Binary cross-entropy against the one-hot target, summed over the catalog.
 
-    Probabilities are clamped to [1e-12, 1 - 1e-12] before the logs.
+    yhat is one (V,) probability vector with an int target, or a (B, V)
+    batch with B targets, whose losses are summed. Probabilities are clamped
+    to [1e-12, 1 - 1e-12] before the logs.
     """
-    n = yhat.shape[0]
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range for {n} items")
+    if yhat.ndim == 1:
+        yhat = ad.reshape(yhat, (1, -1))
+    targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
+    n = yhat.shape[-1]
+    if targets.shape != yhat.shape[:-1]:
+        raise ValueError(f"{targets.size} targets for {yhat.shape[0]} probability rows")
+    if targets.min() < 0 or targets.max() >= n:
+        raise ValueError(f"target out of range for {n} items")
     p = ad.clamp(yhat, lo=PROB_CLAMP, hi=1.0 - PROB_CLAMP)
     log_miss = ad.log(ad.sub(1.0, p))
-    pt = p[target]
-    return ad.neg(ad.add(ad.sub(ad.log(pt), log_miss[target]), ad.tsum(log_miss)))
+    at = (np.arange(targets.size), targets)
+    return ad.neg(ad.add(ad.tsum(ad.sub(ad.log(p[at]), log_miss[at])), ad.tsum(log_miss)))
 
 
 def contrastive_loss(anchor: Tensor, positive: Tensor, negatives: Tensor, margin, k) -> Tensor:
@@ -117,11 +127,13 @@ def contrastive_loss(anchor: Tensor, positive: Tensor, negatives: Tensor, margin
     max(d(anchor, positive) - d(anchor, negative) + margin, 0).
 
     anchor and positive are single (1, d+1) point rows, negatives is (m, d+1);
-    everything must live on the hyperboloid of the same curvature k.
+    with a leading batch axis they are (B, 1, d+1) and (B, m, d+1), and the
+    hinges of every batch entry are summed. Everything must live on the
+    hyperboloid of the same curvature k.
     """
-    if negatives.shape[0] < 1:
+    if negatives.shape[-2] < 1:
         raise ValueError("contrastive_loss: need at least one negative")
-    d_pos = manifold.dist_rows(anchor, positive, k)[0, 0]
+    d_pos = manifold.dist_rows(anchor, positive, k)
     d_neg = manifold.dist_rows(anchor, negatives, k)
     return ad.tsum(ad.relu(ad.add(ad.sub(d_pos, d_neg), margin)))
 
@@ -145,40 +157,31 @@ def total_loss(
     cfg: TrainConfig,
     caches: ModelCaches | None = None,
 ) -> Tensor:
-    """Weighted batch objective; `negatives` holds pre-drawn ids per pair."""
+    """Weighted batch objective from one batched forward pass.
+
+    `negatives` holds pre-drawn ids per pair, all of one length or empty; a
+    pair with none adds no margin term.
+    """
     if not batch:
         raise ValueError("total_loss: empty batch")
     if caches is None:
         caches = model.caches()
-    ce_terms = []
-    margin_terms = []
-    k0 = caches.graph_k[0]
-    for (session, target), neg_ids in zip(batch, negatives):
-        result = model.forward(session, caches=caches)
-        ce_terms.append(cross_entropy_loss(result.yhat, target))
-        if cfg.contrastive_weight == 0.0 or len(neg_ids) == 0:
-            continue
-        anchor = manifold.exp_o_rows(ad.reshape(result.readout, (1, -1)), k0)
-        positive = ad.take_rows(caches.point_table, np.asarray([target], dtype=np.intp))
-        neg_pts = ad.take_rows(caches.point_table, np.asarray(neg_ids, dtype=np.intp))
-        margin_terms.append(contrastive_loss(anchor, positive, neg_pts, cfg.margin, k0))
+    result = model.forward(model.batch([session for session, _ in batch]), caches=caches)
+    targets = np.array([target for _, target in batch], dtype=np.intp)
+    ce = cross_entropy_loss(result.yhat, targets)
+    loss = ad.mul(cfg.ce_weight, ad.div(ce, float(len(batch))))
 
-    loss = ad.mul(cfg.ce_weight, ad.div(_sum_scalars(ce_terms), float(len(batch))))
-    if margin_terms:
-        loss = ad.add(
-            loss,
-            ad.mul(cfg.contrastive_weight, ad.div(_sum_scalars(margin_terms), float(len(batch)))),
-        )
+    rows = [i for i, neg_ids in enumerate(negatives) if len(neg_ids)]
+    if cfg.contrastive_weight != 0.0 and rows:
+        k0 = caches.graph_k[0]
+        anchor = manifold.exp_o_rows(ad.reshape(result.readout[rows], (len(rows), 1, -1)), k0)
+        positive = ad.take_rows(caches.point_table, targets[rows].reshape(-1, 1))
+        neg_pts = ad.take_rows(caches.point_table, np.stack([negatives[i] for i in rows]))
+        margin = contrastive_loss(anchor, positive, neg_pts, cfg.margin, k0)
+        loss = ad.add(loss, ad.mul(cfg.contrastive_weight, ad.div(margin, float(len(batch)))))
     if cfg.l2 > 0:
         loss = ad.add(loss, ad.mul(cfg.l2, l2_penalty(model)))
     return loss
-
-
-def _sum_scalars(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return acc
 
 
 def draw_negatives(

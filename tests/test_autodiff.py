@@ -48,6 +48,10 @@ B23 = RNG.normal(size=(2, 3))
 V3 = RNG.normal(size=3)
 M34 = RNG.normal(size=(3, 4))
 POS23 = np.abs(RNG.normal(size=(2, 3))) + 0.5
+A234 = RNG.normal(size=(2, 3, 4))
+B245 = RNG.normal(size=(2, 4, 5))
+M45 = RNG.normal(size=(4, 5))
+V4 = RNG.normal(size=4)
 
 
 class TestPrimitiveGradients:
@@ -81,8 +85,21 @@ class TestPrimitiveGradients:
     def test_dot(self):
         check_grad(ad.matmul, V3, V3 + 1.0)
 
+    def test_matmul_batch_batch(self):
+        check_grad(ad.matmul, A234, B245, tol=1e-6)
+
+    def test_matmul_batch_matrix(self):
+        check_grad(ad.matmul, A234, M45, tol=1e-6)
+
+    def test_matmul_batch_vector(self):
+        check_grad(ad.matmul, A234, V4, tol=1e-6)
+
     def test_transpose(self):
         check_grad(ad.transpose, A23)
+
+    def test_transpose_batch_swaps_last_two_axes(self):
+        check_grad(ad.transpose, A234)
+        assert ad.transpose(ad.constant(A234)).shape == (2, 4, 3)
 
     def test_reshape(self):
         check_grad(lambda t: ad.reshape(t, (3, 2)), A23)
@@ -96,9 +113,21 @@ class TestPrimitiveGradients:
     def test_take_rows_with_duplicates(self):
         check_grad(lambda t: ad.take_rows(t, [0, 2, 0, 1]), M34)
 
+    def test_take_rows_index_array_of_any_shape(self):
+        check_grad(lambda t: ad.take_rows(t, [[0, 2], [2, 2], [1, 0]]), M34)
+        assert ad.take_rows(ad.constant(M34), [[0, 2], [2, 2], [1, 0]]).shape == (3, 2, 4)
+
     def test_getitem_row_and_block(self):
         check_grad(lambda t: t[1], M34)
         check_grad(lambda t: t[:, 1:3], M34)
+
+    def test_getitem_last_axis_slices_of_batch(self):
+        check_grad(lambda t: t[..., 1:], A234)
+        check_grad(lambda t: t[..., 0:1], A234)
+
+    def test_getitem_basic_slice_is_a_view(self):
+        x = ad.Tensor(A234.copy(), requires_grad=True)
+        assert np.shares_memory(x[..., 1:].data, x.data)
 
     def test_mul_column_broadcast(self):
         check_grad(ad.mul, A23, RNG.normal(size=(2, 1)))
@@ -116,6 +145,7 @@ class TestPrimitiveGradients:
 
     def test_softmax_rows(self):
         check_grad(ad.softmax_rows, A23)
+        check_grad(ad.softmax_rows, A234)
 
     def test_exp(self):
         check_grad(ad.exp, A23)
@@ -234,6 +264,10 @@ class TestErrors:
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
         with pytest.raises(ValueError):
             ad.add(ad.constant(np.ones(3)), ad.constant(np.ones((3, 1))))
+        with pytest.raises(ValueError):
+            ad.matmul(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((3, 4, 5))))
+        with pytest.raises(ValueError):
+            ad.matmul(ad.constant(np.ones((3, 4))), ad.constant(np.ones((2, 4, 5))))
 
     def test_non_scalar_backward(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)

@@ -2,6 +2,8 @@
 
 The benchmark wraps package functions by attribute name and reads autodiff
 internals, so a change to those names would break it without this test.
+Desk is the acceptance corpus; long has the longest sessions, so its
+batches carry the most padding.
 """
 
 import json
@@ -9,12 +11,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_desk_run_completes_with_every_per_layer_metric():
+@pytest.mark.parametrize("workload", ["desk", "long"])
+def test_traced_run_completes_with_every_per_layer_metric(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "desk", "--seed", "1", "--seconds", "1", "--trace", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,

@@ -90,8 +90,11 @@ class _StubModel:
     def caches(self):
         return None
 
-    def forward(self, prefix, caches=None):
-        return _Result(_Scores(self.score_fn(prefix)))
+    def batch(self, prefixes):
+        return prefixes
+
+    def forward(self, prefixes, caches=None):
+        return _Result(_Scores(np.stack([self.score_fn(prefix) for prefix in prefixes])))
 
 
 class TestEvaluate:

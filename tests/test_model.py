@@ -7,6 +7,7 @@ import pytest
 from hcgr import autodiff as ad
 from hcgr import manifold as mf
 from hcgr.model import (
+    MASK_LOGIT,
     CheckpointError,
     HCGRModel,
     HyperParams,
@@ -317,3 +318,71 @@ class TestCheckpoint:
                 json.dump({**doc, "params": params}, fh)
             with pytest.raises(CheckpointError, match=name):
                 load_checkpoint(path)
+
+
+class TestBatchForward:
+    SESSIONS = [[3], [0, 1], [2, 2, 5], [0, 1, 2, 1, 0, 4], [7, 1, 8, 2, 6, 3, 5, 0, 4], list(range(9)) * 2 + [3]]
+
+    def _model(self, aggregator="multi_hop"):
+        hyper = HyperParams(dim=5, graph_layers=2, attention_blocks=2, max_session_len=12, aggregator=aggregator)
+        model = HCGRModel.create(hyper, 9, seed=30)
+        for l, t in enumerate(model.params.graph_kappa):
+            t.data[...] = 0.3 * (l + 1)
+        model.params.blocks[1].kappa.data[...] = -0.4
+        model.params.logit_scale.data[...] = 0.3
+        model.params.attn_b.data[...] = 0.01
+        return model
+
+    def test_mixed_length_rows_match_oracle(self):
+        # lengths 1 to beyond max_session_len, padded to one node count
+        model = self._model()
+        out = model.forward(model.batch(self.SESSIONS))
+        assert out.yhat.shape == (len(self.SESSIONS), 9)
+        for row, items in zip(out.yhat.data, self.SESSIONS):
+            assert np.abs(row - oracle.forward(model, items)).max() < 1e-9
+
+    @pytest.mark.parametrize("aggregator", ["multi_hop", "gat_last_layer", "gcn_mean"])
+    def test_rows_match_one_session_forward(self, aggregator):
+        model = self._model(aggregator)
+        out = model.forward(model.batch(self.SESSIONS))
+        for b, items in enumerate(self.SESSIONS):
+            one = model.forward(items)
+            assert np.abs(out.yhat.data[b] - one.yhat.data).max() < 1e-12
+            assert np.abs(out.readout.data[b] - one.readout.data).max() < 1e-12
+
+    def test_padding_slots_are_masked(self):
+        model = self._model()
+        sb = model.batch([[4], [0, 1, 2]])
+        assert sb.node_ids.shape == (2, 3) and sb.last.tolist() == [0, 2]
+        assert sb.key_mask[0, 0].tolist() == [0.0, MASK_LOGIT, MASK_LOGIT]
+        # a padding slot neighbours only itself
+        assert np.array_equal(sb.bias[0, 1], [MASK_LOGIT, 0.0, MASK_LOGIT])
+        out = model.forward(sb)
+        for mat in out.traces.graph_attention + out.traces.self_attention:
+            assert np.all(mat[0, 0, 1:] == 0.0)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            self._model().batch([])
+
+
+class TestSelfPairs:
+    def test_one_node_session_aggregates_exact_zero_tangent(self, monkeypatch):
+        # log_x(x) = 0, so a node whose neighbourhood is itself moves by an
+        # exactly zero tangent in every graph layer
+        tangents = []
+        exp_map_rows = mf.exp_map_rows
+
+        def capture(X, V, k):
+            tangents.append(V.data.copy())
+            return exp_map_rows(X, V, k)
+
+        monkeypatch.setattr(mf, "exp_map_rows", capture)
+        for seed in range(8):
+            model = tiny_model(seed=seed, graph_layers=2)
+            for item in range(model.catalog_size):
+                tangents.clear()
+                model.forward([item])
+                # graph layers call exp_map_rows first, then the blocks' biases
+                for V in tangents[:2]:
+                    assert np.all(V == 0.0), (seed, item)

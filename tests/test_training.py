@@ -59,6 +59,17 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             tr.cross_entropy_loss(ad.Tensor(np.full(4, 0.25)), 4)
 
+    def test_batch_sums_rows(self):
+        rng = np.random.default_rng(1)
+        z = rng.normal(size=(3, 5))
+        y = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        targets = np.array([4, 0, 4])
+        rows = [float(tr.cross_entropy_loss(ad.Tensor(y[b]), int(t)).data) for b, t in enumerate(targets)]
+        batched = float(tr.cross_entropy_loss(ad.Tensor(y), targets).data)
+        assert batched == pytest.approx(sum(rows), rel=1e-12)
+        with pytest.raises(ValueError):
+            tr.cross_entropy_loss(ad.Tensor(y), targets[:2])
+
 
 def _points_on_geodesic(k, *arc_lengths):
     """Points at the given arc lengths along one geodesic from the origin."""
@@ -102,6 +113,17 @@ class TestContrastive:
             ad.Tensor(a.reshape(1, -1)), ad.Tensor(p.reshape(1, -1)), negs, 0.0, 1.0
         )
         assert float(loss.data) == pytest.approx(0.5 + 0.75, abs=1e-9)
+
+    def test_batch_sums_entries(self):
+        a, p, n1, n2, n3 = _points_on_geodesic(1.0, 0.0, 1.0, 0.5, 0.25, 1.3)
+        anchor = ad.Tensor(np.stack([a, p]).reshape(2, 1, -1))
+        positive = ad.Tensor(np.stack([p, n1]).reshape(2, 1, -1))
+        negs = ad.Tensor(np.stack([np.stack([n1, n2]), np.stack([n3, a])]))
+        batched = float(tr.contrastive_loss(anchor, positive, negs, 0.4, 1.0).data)
+        rows = [
+            float(tr.contrastive_loss(anchor[b], positive[b], negs[b], 0.4, 1.0).data) for b in range(2)
+        ]
+        assert batched == pytest.approx(sum(rows), rel=1e-12)
 
     def test_empty_negatives_rejected(self):
         a, p = _points_on_geodesic(1.0, 0.0, 1.0)
@@ -155,6 +177,40 @@ class TestTotalLoss:
         want = np.mean(ce) + 2e-3 * float(tr.l2_penalty(model).data)
         assert total == pytest.approx(want, rel=1e-12)
 
+    def test_batched_gradients_equal_per_session_sum(self):
+        ds = _toy_pairs()
+        batch = [pair for pair in ds.train if len(pair[0]) > 1][:6] + [([3], 5), ([7, 7], 2)]
+        model = HCGRModel.create(HyperParams(dim=6, graph_layers=2, attention_blocks=1), ds.n_items, seed=3)
+        cfg = tr.TrainConfig(contrastive_weight=0.5, negatives=2, margin=1.0, l2=0.0)
+        rng = np.random.default_rng(4)
+        negs = [tr.draw_negatives(rng, s, t, ds.n_items, 2) for s, t in batch]
+
+        def grads(pairs, pair_negs):
+            model.params.zero_grads()
+            tr.total_loss(model, pairs, pair_negs, cfg).backward()
+            return {name: t.grad.copy() for name, t in model.params.named_parameters()}
+
+        batched = grads(batch, negs)
+        summed = {name: np.zeros_like(g) for name, g in batched.items()}
+        for pair, n in zip(batch, negs):
+            for name, g in grads([pair], [n]).items():
+                summed[name] += g / len(batch)
+        largest = max(np.abs(g).max() for g in batched.values())
+        for name, g in batched.items():
+            assert np.abs(g - summed[name]).max() <= 1e-10 * largest, name
+
+    def test_graph_size_does_not_grow_with_batch(self):
+        ds = _toy_pairs()
+        model = HCGRModel.create(HyperParams(dim=4), ds.n_items, seed=5)
+        cfg = tr.TrainConfig(contrastive_weight=0.5, negatives=2)
+        rng = np.random.default_rng(6)
+        counts = []
+        for size in (1, 8, 32):
+            batch = ds.train[:size]
+            negs = [tr.draw_negatives(rng, s, t, ds.n_items, 2) for s, t in batch]
+            counts.append(_count_nodes(tr.total_loss(model, batch, negs, cfg)))
+        assert counts[0] == counts[1] == counts[2], counts
+
     def test_l2_excludes_curvature(self):
         model, _ = toy_model(seed=7)
         before = float(tr.l2_penalty(model).data)
@@ -187,6 +243,19 @@ class TestNegativeSampling:
         # a pool smaller than the count draws with replacement
         assert tr.draw_negatives(rng, [0, 1, 2], 3, catalog_size=6, count=5).tolist() == [4, 4, 5, 4, 5]
         assert rng.integers(1000) == 445
+
+
+def _count_nodes(root) -> int:
+    """Recorded operations reachable from root."""
+    seen, stack, count = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        count += node._backward is not None
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
 
 
 def _toy_pairs(n_items=20, n_sessions=200, seed=0):
