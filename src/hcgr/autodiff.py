@@ -21,10 +21,10 @@ takes a batch against a batch, a shared matrix or a vector, ``transpose``
 swaps the last two axes, ``softmax_rows`` normalises over the last axis at
 any rank, and ``take_rows`` gathers by an index array of any shape.
 
-Indexing a tensor with a basic slice (``X[..., 1:]``) returns a view of its
-data rather than a copy. Nothing may write into a node's ``.data`` in place
-while a graph that uses it is alive; the optimizer updates parameters only
-after backward.
+Indexing a tensor with a basic slice (``X[..., 1:]``) and transposing a 2-D
+tensor return views of its data rather than copies. Nothing may write into
+a node's ``.data`` in place while a graph that uses it is alive; the
+optimizer updates parameters only after backward.
 
 Every primitive checks its forward value for NaN/Inf and raises
 :class:`NumericError` naming the offending operation, so numerical blowups
@@ -43,6 +43,7 @@ __all__ = [
     "no_grad",
     "as_tensor",
     "constant",
+    "primitive",
     "add",
     "sub",
     "mul",
@@ -204,6 +205,16 @@ def _node(out_data: np.ndarray, name: str, parents, backward_fn) -> Tensor:
     return out
 
 
+def primitive(out_data: np.ndarray, name: str, parents, backward_fn) -> Tensor:
+    """Record an operation computed outside this module as one node.
+
+    ``out_data`` is its forward value and ``backward_fn(g)`` returns a
+    (parent, gradient) pair per parent, as the primitives below do; the
+    value gets the same non-finite check.
+    """
+    return _node(out_data, name, parents, backward_fn)
+
+
 _mark_counter = 0
 
 
@@ -212,7 +223,9 @@ def _run_backward(root: Tensor):
     into the ``.grad`` of every requires_grad leaf. Iterative DFS:
     session-length forward chains overflow the recursion limit otherwise.
     Gradient accumulators live on the nodes and are cleared as soon as a node
-    is processed.
+    is processed; a leaf's share is added straight into its ``.grad``, so a
+    row gather's sparse gradient (``_RowGrad``) reaches a catalog-sized
+    table as one ``np.add.at``.
     """
     global _mark_counter
     _mark_counter += 1
@@ -245,6 +258,14 @@ def _run_backward(root: Tensor):
         for parent, pg in node._backward(g):
             if not parent.requires_grad:
                 continue
+            if parent._backward is None:  # a leaf owns its .grad: add in place
+                if type(pg) is _RowGrad:
+                    np.add.at(parent.grad, pg.idx, pg.g)
+                else:
+                    parent.grad += pg
+                continue
+            if type(pg) is _RowGrad:
+                pg = pg.dense(parent.data.shape)
             acc = parent._gacc
             # rebind instead of += : backward closures may hand the same
             # array (or views of one) to several parents
@@ -360,14 +381,23 @@ def matmul(a, b) -> Tensor:
         if db.ndim == 3:
             gb = np.swapaxes(da, -1, -2) @ g
         else:  # b is shared by every row of a, so its gradient sums over them
-            gb = da.reshape(-1, inner).T @ g.reshape((-1,) + db.shape[1:])
+            a2, g2 = da.reshape(-1, inner), g.reshape((-1,) + db.shape[1:])
+            # the gradient of a transposed view is built transposed, so that
+            # it transposes back to a contiguous array
+            gb = (g2.T @ a2).T if db.ndim == 2 and not db.flags.c_contiguous else a2.T @ g2
         return ((a, ga), (b, gb))
 
     return _node(da @ db, "matmul", (a, b), back)
 
 
 def transpose(a) -> Tensor:
-    """Swap the last two axes of a 2-D or batched 3-D tensor."""
+    """Swap the last two axes of a 2-D or batched 3-D tensor.
+
+    A 2-D result is a view of a.data, which BLAS takes as a transposed
+    operand, so scoring a batch against the catalog table copies nothing. A
+    3-D result is a contiguous copy: numpy's stacked matmul runs slower on
+    strided 3-D operands than the copy costs.
+    """
     a = as_tensor(a)
     if a.data.ndim not in (2, 3):
         raise ValueError("transpose requires a 2-D or 3-D tensor")
@@ -375,7 +405,8 @@ def transpose(a) -> Tensor:
     def back(g):
         return ((a, np.swapaxes(g, -1, -2)),)
 
-    return _node(np.swapaxes(a.data, -1, -2).copy(), "transpose", (a,), back)
+    out = np.swapaxes(a.data, -1, -2)
+    return _node(out if out.ndim == 2 else out.copy(), "transpose", (a,), back)
 
 
 def reshape(a, shape) -> Tensor:
@@ -415,17 +446,35 @@ def take_rows(a, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
 
     def back(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return ((a, ga),)
+        return ((a, _RowGrad(idx, g)),)
 
     return _node(a.data[idx], "take_rows", (a,), back)
+
+
+class _RowGrad:
+    """Gradient of a row gather: the rows of g added at idx into zeros.
+
+    It stays sparse until it reaches its parent, so a leaf such as a
+    catalog-sized embedding table takes it with one np.add.at into its
+    .grad, without a dense temporary.
+    """
+
+    __slots__ = ("idx", "g")
+
+    def __init__(self, idx: np.ndarray, g: np.ndarray):
+        self.idx = idx
+        self.g = g
+
+    def dense(self, shape) -> np.ndarray:
+        out = np.zeros(shape)
+        np.add.at(out, self.idx, self.g)
+        return out
 
 
 def _getitem(a: Tensor, key) -> Tensor:
     # a basic slice is a view of a.data, not a copy (module docstring)
     def back(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(a.data.shape)
         ga[key] += g
         return ((a, ga),)
 

@@ -281,8 +281,7 @@ def cmd_analyze(args) -> int:
 
     counts = metrics.interaction_counts(ds.train, model.catalog_size)
     dists = model.embedding_distances()
-    with ad.no_grad():
-        points = model.caches().point_table.data
+    points, _ = model.catalog_points()
     width = points.shape[1]
     with open(os.path.join(args.out_dir, "embeddings.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

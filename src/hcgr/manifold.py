@@ -144,21 +144,42 @@ def log_map_rows(X: Tensor, Y: Tensor, k) -> Tensor:
 
 
 def exp_o_rows(V: Tensor, k) -> Tensor:
-    """Exponential map at the origin.
+    """Exponential map at the origin, as one autodiff node.
 
-    Only the spatial block of V is read, which is exactly the projection onto
-    the tangent space at the origin (tangency there means time coordinate 0).
-    The closed form already lands on the hyperboloid to machine precision
-    (time = sqrt(k) cosh equals the projection's sqrt(k + |space|^2)), so no
-    extra repair step is applied.
+    Only the spatial block s of V is read, which is exactly the projection
+    onto the tangent space at the origin (tangency there means time
+    coordinate 0), so the time column of V gets zero gradient. With
+    n = sqrt(max(|s|^2, MIN_SQ_NORM)) and a = n / sqrt(k) the result is
+    (sqrt(k) cosh a, c s) with c = sqrt(k) sinh(a) / n. The closed form
+    already lands on the hyperboloid to machine precision (time = sqrt(k)
+    cosh a equals the projection's sqrt(k + |s|^2)), so no repair step is
+    applied. The backward pass is written out by hand; the floor on |s|^2
+    stops the norm's gradient, as a clamp would.
     """
-    sk = ad.sqrt(ad.as_tensor(k))
-    space = V[..., 1:]
-    nrm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), lo=MIN_SQ_NORM))
-    arg = ad.div(nrm, sk)
-    time = ad.mul(sk, ad.cosh(arg))
-    space_out = ad.mul(space, ad.div(ad.mul(sk, ad.sinh(arg)), nrm))
-    return ad.concat([time, space_out], axis=-1)
+    V, k = ad.as_tensor(V), ad.as_tensor(k)
+    sk = np.sqrt(k.data)
+    space = V.data[..., 1:]
+    sq = (space * space).sum(axis=-1, keepdims=True)
+    nrm = np.sqrt(np.clip(sq, MIN_SQ_NORM, None))
+    arg = nrm / sk
+    cosh, sinh = np.cosh(arg), np.sinh(arg)
+    coef = (sk * sinh) / nrm
+    out = np.concatenate([sk * cosh, space * coef], axis=-1)
+
+    def back(g):
+        g_time, g_space = g[..., 0:1], g[..., 1:]
+        g_coef = (g_space * space).sum(axis=-1, keepdims=True)
+        # d time / d n = sinh a and d coef / d n = (cosh a - coef) / n; the
+        # norm passes g_n s / n on to s, except under the floor
+        g_nrm = g_time * sinh + g_coef * (cosh - coef) / nrm
+        gV = np.zeros_like(V.data)
+        gV[..., 1:] = g_space * coef + space * ((g_nrm / nrm) * (sq >= MIN_SQ_NORM))
+        # d time / d sqrt(k) = cosh a - a sinh a and
+        # d coef / d sqrt(k) = (sinh a - a cosh a) / n
+        g_sk = (g_time * (cosh - arg * sinh)).sum() + (g_coef * (sinh - arg * cosh) / nrm).sum()
+        return ((V, gV), (k, np.asarray(g_sk / (2.0 * sk))))
+
+    return ad.primitive(out, "exp_o_rows", (V, k), back)
 
 
 def log_o_rows(X: Tensor, k) -> Tensor:

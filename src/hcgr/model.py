@@ -1,7 +1,8 @@
 """Session recommender operating on the Lorentz hyperboloid.
 
 Pipeline per session: look up item embeddings (stored as tangent vectors at
-the origin, mapped onto the manifold), run graph attention layers over the
+the origin; only the rows a batch gathers are mapped onto the manifold),
+run graph attention layers over the
 session graph (GAT-style LeakyReLU pair scores plus log transition counts),
 fuse all depths with softmax-normalized coefficients, refine with hyperbolic
 self-attention blocks, blend the long-term (self-attention) and short-term
@@ -244,12 +245,12 @@ def expected_shapes(hyper: HyperParams, catalog_size: int) -> dict[str, tuple]:
 
 @dataclass
 class ModelCaches:
-    """Per-batch tensors shared by every forward pass until parameters change."""
+    """Per-batch curvature tensors shared by every forward pass until
+    parameters change. Item points are not cached: each pass maps only the
+    rows it gathers (HCGRModel.item_points)."""
 
     graph_k: list[Tensor]
     block_k: list[Tensor]
-    tangent_table: Tensor  # (V, d+1) tangent rows at the origin, time column 0
-    point_table: Tensor  # (V, d+1) item points on the hyperboloid
 
 
 @dataclass
@@ -307,10 +308,25 @@ class HCGRModel:
         p = self.params
         graph_k = [manifold.curvature_from_raw(t) for t in p.graph_kappa]
         block_k = [manifold.curvature_from_raw(b.kappa) for b in p.blocks]
-        zeros_col = ad.constant(np.zeros((self.catalog_size, 1)))
-        tangent_table = ad.concat([zeros_col, p.embeddings], axis=1)
-        point_table = manifold.exp_o_rows(tangent_table, graph_k[0])
-        return ModelCaches(graph_k, block_k, tangent_table, point_table)
+        return ModelCaches(graph_k, block_k)
+
+    def item_points(self, ids, k) -> Tensor:
+        """Hyperboloid points of the items in ``ids``, an index array of any
+        shape, under curvature k: ids.shape + (d+1,).
+
+        The embedding rows are tangent vectors at the origin without their
+        zero time coordinate; only the gathered rows are mapped.
+        """
+        rows = ad.take_rows(self.params.embeddings, ids)
+        zeros = ad.constant(np.zeros(rows.shape[:-1] + (1,)))
+        return manifold.exp_o_rows(ad.concat([zeros, rows], axis=-1), k)
+
+    def catalog_points(self) -> tuple[np.ndarray, Tensor]:
+        """Points of every catalog item under the embedding curvature, with
+        that curvature (no gradients)."""
+        with ad.no_grad():
+            k = self.caches().graph_k[0]
+            return self.item_points(np.arange(self.catalog_size), k).data, k
 
     # -- typed single-item view ------------------------------------------
     def embed(self, item: int) -> manifold.LorentzPoint:
@@ -318,18 +334,16 @@ class HCGRModel:
         if not 0 <= item < self.catalog_size:
             raise ValueError(f"item id {item} out of range")
         with ad.no_grad():
-            caches = self.caches()
-            coords = caches.point_table.data[item].copy()
-            k = float(caches.graph_k[0].data)
-        return manifold.LorentzPoint(coords, k)
+            k = self.caches().graph_k[0]
+            coords = self.item_points([item], k).data[0]
+        return manifold.LorentzPoint(coords, float(k.data))
 
     def embedding_distances(self) -> np.ndarray:
         """Geodesic distance from the origin for every catalog item."""
+        points, k = self.catalog_points()
         with ad.no_grad():
-            caches = self.caches()
-            k = caches.graph_k[0]
             o = manifold.origin_rows(self.catalog_size, self.hyper.dim, k)
-            return manifold.dist_rows(o, caches.point_table, k).data[:, 0].copy()
+            return manifold.dist_rows(o, ad.constant(points), k).data[:, 0].copy()
 
     # -- forward pass -----------------------------------------------------
     def batch(self, sessions) -> SessionBatch:
@@ -382,7 +396,7 @@ class HCGRModel:
         traces = Traces(node_items=sb.graphs[0].nodes if single else ())
         collected: dict[str, np.ndarray] = {}
 
-        X = ad.take_rows(caches.point_table, sb.node_ids)
+        X = self.item_points(sb.node_ids, caches.graph_k[0])
         if collect_points:
             collected["embed"] = X.data
 
@@ -424,24 +438,24 @@ class HCGRModel:
             collected = {name: pts[0] for name, pts in collected.items()}
         if collect_points:
             traces.points = collected
-        return ForwardResult(self.score(o_vec, caches), o_vec, sb.graphs[0] if single else None, traces)
+        return ForwardResult(self.score(o_vec), o_vec, sb.graphs[0] if single else None, traces)
 
-    def score(self, o_vec: Tensor, caches: ModelCaches | None = None) -> Tensor:
+    def score(self, o_vec: Tensor) -> Tensor:
         """Catalog probabilities from readout tangent vectors.
 
-        Logits are dot products of the readout with each item's origin-tangent
-        row (zero time coordinate on both sides), multiplied by the learned
-        scale exp(logit_scale), followed by a softmax. A (d+1,) readout gives
-        (V,) through one matrix-vector product, a (B, d+1) batch (B, V)
-        through one matrix product.
+        Logits are dot products of the readout's space block with each
+        item's embedding row (both tangents at the origin have time
+        coordinate 0), multiplied by the learned scale exp(logit_scale),
+        followed by a softmax. A (d+1,) readout gives (V,) through one
+        matrix-vector product, a (B, d+1) batch (B, V) through one matrix
+        product against a transposed view of the embeddings.
         """
-        if caches is None:
-            caches = self.caches()
+        E = self.params.embeddings
         scale = ad.exp(self.params.logit_scale)
         if o_vec.ndim == 1:
-            logits = ad.matmul(caches.tangent_table, o_vec)
+            logits = ad.matmul(E, o_vec[1:])
         else:
-            logits = ad.matmul(o_vec, ad.transpose(caches.tangent_table))
+            logits = ad.matmul(o_vec[:, 1:], ad.transpose(E))
         return ad.softmax_rows(ad.mul(scale, logits))
 
     # -- stages ------------------------------------------------------------

@@ -83,6 +83,8 @@ class TrainState:
     step: int = 0
     epoch: int = 0
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    # two scratch arrays per parameter for adam_step's in-place arithmetic
+    buffers: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
     best_mrr: float = -np.inf
     best_epoch: int = 0
     best_arrays: dict[str, np.ndarray] | None = None
@@ -92,6 +94,9 @@ class TrainState:
         if not self.moments:
             for name, t in self.model.params.named_parameters():
                 self.moments[name] = (np.zeros_like(t.data), np.zeros_like(t.data))
+        if not self.buffers:
+            for name, t in self.model.params.named_parameters():
+                self.buffers[name] = (np.empty_like(t.data), np.empty_like(t.data))
         if self.best_arrays is None:
             self.best_arrays = self.model.params.state_arrays()
 
@@ -175,9 +180,10 @@ def total_loss(
     if cfg.contrastive_weight != 0.0 and rows:
         k0 = caches.graph_k[0]
         anchor = manifold.exp_o_rows(ad.reshape(result.readout[rows], (len(rows), 1, -1)), k0)
-        positive = ad.take_rows(caches.point_table, targets[rows].reshape(-1, 1))
-        neg_pts = ad.take_rows(caches.point_table, np.stack([negatives[i] for i in rows]))
-        margin = contrastive_loss(anchor, positive, neg_pts, cfg.margin, k0)
+        # the positive and the negatives of each pair, mapped in one call
+        ids = np.concatenate([targets[rows].reshape(-1, 1), np.stack([negatives[i] for i in rows])], axis=1)
+        points = model.item_points(ids, k0)
+        margin = contrastive_loss(anchor, points[:, :1], points[:, 1:], cfg.margin, k0)
         loss = ad.add(loss, ad.mul(cfg.contrastive_weight, ad.div(margin, float(len(batch)))))
     if cfg.l2 > 0:
         loss = ad.add(loss, ad.mul(cfg.l2, l2_penalty(model)))
@@ -204,6 +210,13 @@ def draw_negatives(
 
 
 def adam_step(state: TrainState, lr: float):
+    """One Adam update of every parameter from its .grad.
+
+    The arithmetic is m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), evaluated in that order
+    through the state's scratch buffers, so no parameter-sized temporary is
+    allocated.
+    """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
@@ -211,11 +224,14 @@ def adam_step(state: TrainState, lr: float):
     for name, p in state.model.params.named_parameters():
         g = p.grad
         m, v = state.moments[name]
+        a, b = state.buffers[name]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=b), g, out=b)
+        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
+        p.data -= np.divide(a, b, out=a)
 
 
 def train_epoch(state: TrainState, train_pairs: list[tuple[list[int], int]], lr: float) -> float:

@@ -113,6 +113,10 @@ class TestPrimitiveGradients:
     def test_take_rows_with_duplicates(self):
         check_grad(lambda t: ad.take_rows(t, [0, 2, 0, 1]), M34)
 
+    def test_take_rows_of_a_computed_tensor_with_duplicates(self):
+        # the gathered tensor is not a leaf, so its row gradient goes dense
+        check_grad(lambda t: ad.take_rows(ad.mul(t, t), [[0, 2], [0, 0]]), M34)
+
     def test_take_rows_index_array_of_any_shape(self):
         check_grad(lambda t: ad.take_rows(t, [[0, 2], [2, 2], [1, 0]]), M34)
         assert ad.take_rows(ad.constant(M34), [[0, 2], [2, 2], [1, 0]]).shape == (3, 2, 4)

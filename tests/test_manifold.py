@@ -306,3 +306,75 @@ class TestPropertySweep:
         assert mf.distance(x, y) == mf.distance(x, y)
         l1, l2 = mf.log_map(x, y), mf.log_map(x, y)
         assert np.array_equal(l1.coords, l2.coords)
+
+
+def _exp_o_composed(V, k):
+    """exp_o_rows as the chain of autodiff primitives that it fuses."""
+    sk = ad.sqrt(ad.as_tensor(k))
+    space = V[..., 1:]
+    nrm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), lo=mf.MIN_SQ_NORM))
+    arg = ad.div(nrm, sk)
+    time = ad.mul(sk, ad.cosh(arg))
+    space_out = ad.mul(space, ad.div(ad.mul(sk, ad.sinh(arg)), nrm))
+    return ad.concat([time, space_out], axis=-1)
+
+
+class TestFusedExpO:
+    SHAPES = ((5, 4), (2, 3, 4))
+
+    @staticmethod
+    def _rows(shape, seed):
+        """Random rows with a nonzero time column; the first row's space block
+        is zero, so the MIN_SQ_NORM floor is active there."""
+        V = np.random.default_rng(seed).normal(size=shape)
+        V.reshape(-1, shape[-1])[0, 1:] = 0.0
+        return V
+
+    @staticmethod
+    def _backward(fn, V0, k0, W):
+        V = ad.Tensor(V0.copy(), requires_grad=True)
+        k = ad.Tensor(np.array(k0), requires_grad=True)
+        ad.tsum(ad.mul(fn(V, k), ad.constant(W))).backward()
+        return V.grad, float(k.grad)
+
+    def test_is_one_node(self):
+        V = ad.Tensor(self._rows((5, 4), 0), requires_grad=True)
+        out = mf.exp_o_rows(V, ad.Tensor(np.array(1.3), requires_grad=True))
+        assert all(p._backward is None for p in out._parents)
+
+    def test_forward_bytes_equal_composed_chain(self):
+        for seed, shape in enumerate(self.SHAPES):
+            V = ad.constant(self._rows(shape, seed))
+            for k in (0.7, ad.constant(1.3), mf.curvature_from_raw(ad.constant(0.4))):
+                assert mf.exp_o_rows(V, k).data.tobytes() == _exp_o_composed(V, k).data.tobytes()
+
+    def test_gradients_match_central_differences(self):
+        h, k0 = 1e-6, 1.3
+        for seed, shape in enumerate(self.SHAPES):
+            V0 = self._rows(shape, seed)
+            W = np.random.default_rng(seed + 10).normal(size=shape)
+
+            def f(V, k):
+                with ad.no_grad():
+                    return float((mf.exp_o_rows(ad.constant(V), k).data * W).sum())
+
+            gV, gk = self._backward(mf.exp_o_rows, V0, k0, W)
+            fd = np.zeros(shape)
+            for idx in np.ndindex(shape):
+                up, down = V0.copy(), V0.copy()
+                up[idx] += h
+                down[idx] -= h
+                fd[idx] = (f(up, k0) - f(down, k0)) / (2.0 * h)
+            np.testing.assert_allclose(gV, fd, rtol=1e-6, atol=1e-8)
+            assert gk == pytest.approx((f(V0, k0 + h) - f(V0, k0 - h)) / (2.0 * h), rel=1e-6)
+            # and the composed chain's backward agrees to roundoff
+            cV, ck = self._backward(_exp_o_composed, V0, k0, W)
+            np.testing.assert_allclose(gV, cV, rtol=1e-12, atol=1e-14)
+            assert gk == pytest.approx(ck, rel=1e-12)
+
+    def test_time_column_gets_exactly_zero_gradient(self):
+        for seed, shape in enumerate(self.SHAPES):
+            V0 = self._rows(shape, seed)
+            gV, _ = self._backward(mf.exp_o_rows, V0, 0.9, np.ones(shape))
+            assert np.all(V0[..., 0] != 0.0)
+            assert np.all(gV[..., 0] == 0.0)

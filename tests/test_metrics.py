@@ -18,6 +18,21 @@ class TestRankedList:
         scores = np.array([1.0, 2.0, 2.0, 0.5])
         assert mt.ranked_items(scores).tolist() == [1, 2, 0, 3]
 
+    def test_matches_lexsort_definition(self):
+        rng = np.random.default_rng(3)
+        tied = rng.normal(size=300)
+        tied[rng.integers(300, size=40)] = tied[5]
+        cases = [rng.normal(size=n) for n in (1, 2, 17, 500)] + [
+            tied,
+            rng.integers(0, 4, size=200).astype(float),
+            np.array([0.0, -0.0, 1.0, -0.0]),
+            rng.random(32119),
+        ]
+        for scores in cases:
+            want = np.lexsort((np.arange(scores.shape[0]), -scores))
+            got = mt.ranked_items(scores)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_target_rank(self):
         for ranked in (np.array([4, 2, 0, 1, 3]), [4, 2, 0, 1, 3]):
             assert mt.target_rank(ranked, 0) == 3

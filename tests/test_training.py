@@ -158,8 +158,8 @@ class TestTotalLoss:
             res = model.forward(session, caches=caches)
             ce.append(float(tr.cross_entropy_loss(res.yhat, target).data))
             anchor = mf.exp_o_rows(ad.reshape(res.readout, (1, -1)), k0)
-            pos = ad.take_rows(caches.point_table, [target])
-            neg = ad.take_rows(caches.point_table, n)
+            pos = model.item_points([target], k0)
+            neg = model.item_points(n, k0)
             con.append(float(tr.contrastive_loss(anchor, pos, neg, cfg.margin, k0).data))
         want = 0.7 * np.mean(ce) + 0.2 * np.mean(con) + 1e-3 * float(tr.l2_penalty(model).data)
         assert total == pytest.approx(want, rel=1e-12)
@@ -218,6 +218,68 @@ class TestTotalLoss:
         model.params.blocks[0].kappa.data += 10.0
         model.params.logit_scale.data += 10.0
         assert float(tr.l2_penalty(model).data) == before
+
+
+class TestCatalogIndependence:
+    """Per-batch work must not scale with the catalog: only the rows a batch
+    gathers are mapped onto the hyperboloid."""
+
+    BATCH = [([0, 1, 2], 3), ([4, 5], 6), ([2], 0)]
+    NEGATIVES = [np.array([5, 6]), np.array([0, 1]), np.array([3, 4])]
+
+    def _loss(self, catalog):
+        model = HCGRModel.create(HyperParams(dim=4), catalog, seed=8)
+        # no L2 term: its squares of the embedding table are catalog-sized by design
+        cfg = tr.TrainConfig(contrastive_weight=0.5, negatives=2, l2=0.0)
+        return model, tr.total_loss(model, self.BATCH, self.NEGATIVES, cfg)
+
+    def test_caches_hold_no_catalog_rows(self):
+        model = HCGRModel.create(HyperParams(dim=4), 500, seed=8)
+        for name, value in vars(model.caches()).items():
+            for t in value if isinstance(value, list) else [value]:
+                assert t.data.ndim == 0 or t.data.shape[0] != 500, name
+
+    def test_node_count_does_not_grow_with_catalog(self):
+        assert _count_nodes(self._loss(7)[1]) == _count_nodes(self._loss(500)[1])
+
+    def test_no_recorded_table_of_catalog_rows(self):
+        model, loss = self._loss(500)
+        seen, stack, tables = {id(loss)}, [loss], []
+        while stack:
+            node = stack.pop()
+            if node is not model.params.embeddings and node.data.ndim and node.data.shape[0] == 500:
+                tables.append(node.data.shape)
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert not tables
+
+
+class TestAdam:
+    def test_three_steps_byte_equal_textbook(self):
+        model, cfg = toy_model(seed=21)
+        state = tr.TrainState(model=model, config=cfg)
+        rng = np.random.default_rng(22)
+        params = {name: t.data.copy() for name, t in model.params.named_parameters()}
+        moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+        lr = 0.01
+        for t in range(1, 4):
+            for name, param in model.params.named_parameters():
+                g = param.grad
+                g[...] = rng.normal(size=g.shape)
+                m, v = moments[name]
+                m = tr.ADAM_BETA1 * m + (1.0 - tr.ADAM_BETA1) * g
+                v = tr.ADAM_BETA2 * v + (1.0 - tr.ADAM_BETA2) * g * g
+                m_hat = m / (1.0 - tr.ADAM_BETA1**t)
+                v_hat = v / (1.0 - tr.ADAM_BETA2**t)
+                params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + tr.ADAM_EPS)
+                moments[name] = (m, v)
+            tr.adam_step(state, lr)
+        for name, param in model.params.named_parameters():
+            assert param.data.tobytes() == params[name].tobytes(), name
+            assert state.moments[name][0].tobytes() == moments[name][0].tobytes(), name
+            assert state.moments[name][1].tobytes() == moments[name][1].tobytes(), name
 
 
 class TestNegativeSampling:
@@ -313,10 +375,8 @@ class TestTrainEpoch:
         state = tr.TrainState(model=model, config=cfg)
         for _ in range(3):
             tr.train_epoch(state, [(s, t) for s, t in TOY_BATCH], lr=0.05)
-        with ad.no_grad():
-            caches = model.caches()
-            pts = caches.point_table.data
-            k = float(caches.graph_k[0].data)
+        pts, k = model.catalog_points()
+        k = float(k.data)
         inner = -pts[:, 0] ** 2 + (pts[:, 1:] ** 2).sum(axis=1)
         assert np.abs(inner + k).max() < 1e-8
 
