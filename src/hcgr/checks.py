@@ -33,7 +33,7 @@ def _random_tangents_at_origin(rng, n: int, d: int, max_norm: float = 5.0) -> np
     dirs = rng.normal(size=(n, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     norms = rng.uniform(1e-3, max_norm, size=(n, 1))
-    return np.concatenate([np.zeros((n, 1)), dirs * norms], axis=1)
+    return dirs * norms
 
 
 def _constraint_violation(X: np.ndarray, k: float) -> float:
@@ -78,8 +78,8 @@ def manifold_check(dims=(2, 8), ks=(0.5, 1.0, 2.0), n: int = 300, seed: int = 0)
                 # tangent vectors at X via isometric transport from the origin
                 B = T(_random_tangents_at_origin(rng, n, d, 2.5))
                 B2 = T(_random_tangents_at_origin(rng, n, d, 2.5))
-                V = manifold.transport_from_origin_rows(X, B, k)
-                W = manifold.transport_from_origin_rows(X, B2, k)
+                V = manifold.transport_from_o_rows(X, B, k)
+                W = manifold.transport_from_o_rows(X, B2, k)
 
                 # exp/log roundtrips, relative per row
                 Ex = manifold.exp_map_rows(X, V, k)
@@ -115,10 +115,10 @@ def manifold_check(dims=(2, 8), ks=(0.5, 1.0, 2.0), n: int = 300, seed: int = 0)
                 record("transport tangency at destination", float(np.abs(tang).max()))
 
                 # linear-layer identities
-                eye = ad.Tensor(np.eye(d + 1))
+                eye = ad.Tensor(np.eye(d))
                 Xi = manifold.hyp_matmul_rows(X, eye, k)
                 record("hyp_matmul identity", float(np.abs(Xi.data - X.data).max()))
-                zb = ad.Tensor(np.zeros(d + 1))
+                zb = ad.Tensor(np.zeros(d))
                 Xb = manifold.hyp_bias_add_rows(X, zb, k)
                 record("hyp_bias_add zero identity", float(np.abs(Xb.data - X.data).max()))
                 Xa = manifold.hyp_activation_rows(X, lambda t: ad.leaky_relu(t, 0.2), k, k)

@@ -8,14 +8,21 @@ the manifold is ``-1/k``. Index 0 is the time-like coordinate.
 Two API layers:
 
 * Batched functions suffixed ``_rows`` operate on autodiff tensors whose
-  last axis holds one point or tangent vector of d+1 coordinates: ``(n, d+1)``
-  rows, or ``(B, n, d+1)`` padded session batches. They read the time
-  coordinate as ``[..., 0:1]`` and the space block as ``[..., 1:]``, reduce
-  over the last axis, and are fully differentiable (including through ``k``).
-  The network is built from these.
+  last axis holds one point or tangent vector: ``(n, w)`` rows, or
+  ``(B, n, w)`` padded session batches. Points on the hyperboloid, and
+  tangents at any base point other than the origin, are (d+1)-wide; they
+  read the time coordinate as ``[..., 0:1]`` and the space block as
+  ``[..., 1:]``. The tangent space at the origin is R^d (its time
+  coordinate is identically 0), so tangents there are d-wide: ``exp_o_rows``
+  and ``hyp_activation_rows`` take them, ``log_o_rows`` returns them, and
+  the biases of ``transport_from_o_rows`` and ``hyp_bias_add_rows``
+  and the weights of ``hyp_matmul_rows`` act on them. All reduce over the
+  last axis and are fully differentiable (including through ``k``). The
+  network is built from these.
 * A typed single-point API (:class:`LorentzPoint`, :class:`TangentVector`)
   with explicit validation, for tests, analyses and anything that wants the
-  geometry without the autodiff machinery.
+  geometry without the autodiff machinery. Its tangents keep d+1
+  coordinates at every base, the origin included.
 
 Numerical guards: arguments of arcosh are floored at exactly 1 (so coincident
 points get distance exactly 0), squared norms are floored before square roots
@@ -52,12 +59,11 @@ def curvature_from_raw(kappa_raw) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# batched differentiable core: rows of (n, d+1) tensors
+# batched differentiable core: rows of points and tangents
 # ---------------------------------------------------------------------------
 
 
 _FLIP_MASKS: dict[int, Tensor] = {}
-_ZERO_MASKS: dict[int, Tensor] = {}
 
 
 def _flip_mask(width: int) -> Tensor:
@@ -72,16 +78,6 @@ def _flip_mask(width: int) -> Tensor:
 def _flip_time(X: Tensor) -> Tensor:
     """Negate the time column, turning plain dots into Lorentz products."""
     return ad.mul(X, _flip_mask(X.shape[-1]))
-
-
-def zero_time(X: Tensor) -> Tensor:
-    """Project rows onto the tangent space at the origin (zero time column)."""
-    mask = _ZERO_MASKS.get(X.shape[-1])
-    if mask is None:
-        arr = np.ones(X.shape[-1])
-        arr[0] = 0.0
-        mask = _ZERO_MASKS[X.shape[-1]] = ad.constant(arr)
-    return ad.mul(X, mask)
 
 
 def rowwise_inner(X: Tensor, Y: Tensor) -> Tensor:
@@ -100,12 +96,6 @@ def project_rows(M: Tensor, k) -> Tensor:
     sq = ad.tsum(ad.mul(space, space), axis=-1, keepdims=True)
     time = ad.sqrt(ad.add(sq, k))
     return ad.concat([time, space], axis=-1)
-
-
-def origin_rows(n: int, d: int, k) -> Tensor:
-    """n copies of the origin (sqrt(k), 0, ..., 0) as rows."""
-    time = ad.mul(ad.constant(np.ones((n, 1))), ad.sqrt(ad.as_tensor(k)))
-    return ad.concat([time, ad.constant(np.zeros((n, d)))], axis=1)
 
 
 def dist_rows(X: Tensor, Y: Tensor, k) -> Tensor:
@@ -144,21 +134,19 @@ def log_map_rows(X: Tensor, Y: Tensor, k) -> Tensor:
 
 
 def exp_o_rows(V: Tensor, k) -> Tensor:
-    """Exponential map at the origin, as one autodiff node.
+    """Exponential map at the origin of d-wide tangent rows, as one autodiff
+    node; the result rows are (d+1)-wide points.
 
-    Only the spatial block s of V is read, which is exactly the projection
-    onto the tangent space at the origin (tangency there means time
-    coordinate 0), so the time column of V gets zero gradient. With
-    n = sqrt(max(|s|^2, MIN_SQ_NORM)) and a = n / sqrt(k) the result is
-    (sqrt(k) cosh a, c s) with c = sqrt(k) sinh(a) / n. The closed form
-    already lands on the hyperboloid to machine precision (time = sqrt(k)
-    cosh a equals the projection's sqrt(k + |s|^2)), so no repair step is
-    applied. The backward pass is written out by hand; the floor on |s|^2
-    stops the norm's gradient, as a clamp would.
+    With n = sqrt(max(|s|^2, MIN_SQ_NORM)) for a row s and a = n / sqrt(k)
+    the result is (sqrt(k) cosh a, c s) with c = sqrt(k) sinh(a) / n. The
+    closed form already lands on the hyperboloid to machine precision
+    (time = sqrt(k) cosh a equals the projection's sqrt(k + |s|^2)), so no
+    repair step is applied. The backward pass is written out by hand; the
+    floor on |s|^2 stops the norm's gradient, as a clamp would.
     """
     V, k = ad.as_tensor(V), ad.as_tensor(k)
     sk = np.sqrt(k.data)
-    space = V.data[..., 1:]
+    space = V.data
     sq = (space * space).sum(axis=-1, keepdims=True)
     nrm = np.sqrt(np.clip(sq, MIN_SQ_NORM, None))
     arg = nrm / sk
@@ -172,8 +160,7 @@ def exp_o_rows(V: Tensor, k) -> Tensor:
         # d time / d n = sinh a and d coef / d n = (cosh a - coef) / n; the
         # norm passes g_n s / n on to s, except under the floor
         g_nrm = g_time * sinh + g_coef * (cosh - coef) / nrm
-        gV = np.zeros_like(V.data)
-        gV[..., 1:] = g_space * coef + space * ((g_nrm / nrm) * (sq >= MIN_SQ_NORM))
+        gV = g_space * coef + space * ((g_nrm / nrm) * (sq >= MIN_SQ_NORM))
         # d time / d sqrt(k) = cosh a - a sinh a and
         # d coef / d sqrt(k) = (sinh a - a cosh a) / n
         g_sk = (g_time * (cosh - arg * sinh)).sum() + (g_coef * (sinh - arg * cosh) / nrm).sum()
@@ -183,14 +170,13 @@ def exp_o_rows(V: Tensor, k) -> Tensor:
 
 
 def log_o_rows(X: Tensor, k) -> Tensor:
-    """Logarithmic map at the origin; the time column of the result is 0 exactly."""
+    """Logarithmic map at the origin: d-wide tangent rows of (d+1)-wide points."""
     sk = ad.sqrt(ad.as_tensor(k))
     x0 = X[..., 0:1]
     d = ad.mul(sk, ad.arcosh(ad.clamp(ad.div(x0, sk), lo=1.0)))
     space = X[..., 1:]
     snorm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), lo=MIN_SQ_NORM))
-    zero = ad.constant(np.zeros(X.shape[:-1] + (1,)))
-    return ad.concat([zero, ad.mul(space, ad.div(d, snorm))], axis=-1)
+    return ad.mul(space, ad.div(d, snorm))
 
 
 def transport_rows(X: Tensor, Y: Tensor, V: Tensor, k) -> Tensor:
@@ -208,45 +194,43 @@ def transport_rows(X: Tensor, Y: Tensor, V: Tensor, k) -> Tensor:
     return ad.add(V, ad.mul(ad.add(X, Y), coef))
 
 
-def transport_from_origin_rows(Y: Tensor, B: Tensor, k) -> Tensor:
-    """Parallel transport of tangent-at-origin rows B to base rows Y.
+def transport_from_o_rows(Y: Tensor, B: Tensor, k) -> Tensor:
+    """Parallel transport of d-wide tangent-at-origin rows B to base rows Y.
 
-    B has the shape of Y, or is a single (d+1,) tangent carried to every row.
-    Uses the closed form PT_{o->y}(b) = b + <y,b>_L / (k + sqrt(k) y_0) (o + y),
-    the same operator as the generic formula without the 0/0 guards; the
-    denominator is at least 2k on the upper sheet.
+    B has the rows of Y, or is a single (d,) tangent carried to every row;
+    the result is (d+1)-wide. Uses the closed form
+    PT_{o->y}(b) = b + <y,b>_L / (k + sqrt(k) y_0) (o + y), the same operator
+    as the generic formula without the 0/0 guards; the denominator is at
+    least 2k on the upper sheet. b's time coordinate is 0, so <y,b>_L is the
+    dot product of y's space block with b.
     """
     sk = ad.sqrt(ad.as_tensor(k))
-    y0 = Y[..., 0:1]
-    coef = ad.div(rowwise_inner(Y, B), ad.add(ad.mul(sk, y0), k))
-    o_plus_y = ad.concat([ad.add(y0, sk), Y[..., 1:]], axis=-1)
-    return ad.add(B, ad.mul(o_plus_y, coef))
+    y0, space = Y[..., 0:1], Y[..., 1:]
+    coef = ad.div(ad.tsum(ad.mul(space, B), axis=-1, keepdims=True), ad.add(ad.mul(sk, y0), k))
+    return ad.concat([ad.mul(ad.add(y0, sk), coef), ad.add(B, ad.mul(space, coef))], axis=-1)
 
 
 def hyp_matmul_rows(X: Tensor, W: Tensor, k) -> Tensor:
     """Hyperbolic matrix multiplication: exp_o(W log_o(x)) per row.
 
-    W has shape (m, d+1) acting on column vectors; rows of X are mapped to
-    points of dimension m-1 under the same curvature. The time coordinate of
-    W log_o(x) is dropped by exp_o_rows, which is the tangent projection.
+    W has shape (m, d) acting on column vectors of the d-wide tangent at the
+    origin; rows of X are mapped to (m+1)-wide points under the same
+    curvature.
     """
     return exp_o_rows(ad.matmul(log_o_rows(X, k), ad.transpose(W)), k)
 
 
 def hyp_bias_add_rows(X: Tensor, b: Tensor, k) -> Tensor:
-    """Hyperbolic bias: exp_x(PT_{o->x}(b)) per row; b is a (d+1,) tangent at o.
-
-    The time component of b is masked to zero so arbitrary parameter vectors
-    stay valid tangents at the origin.
-    """
-    return exp_map_rows(X, transport_from_origin_rows(X, zero_time(b), k), k)
+    """Hyperbolic bias: exp_x(PT_{o->x}(b)) per row; b is a (d,) tangent at o,
+    so any parameter vector is a valid one."""
+    return exp_map_rows(X, transport_from_o_rows(X, b, k), k)
 
 
 def hyp_activation_rows(X: Tensor, act, k_from, k_to) -> Tensor:
     """Apply an origin-fixing elementwise activation between curvatures.
 
     exp_o under k_to of act(log_o under k_from of x). act must map 0 to 0 so
-    the origin is a fixed point; the tangent's zero time column then stays 0.
+    the origin is a fixed point.
     """
     return exp_o_rows(act(log_o_rows(X, k_from)), k_to)
 
@@ -378,7 +362,9 @@ def hyp_matmul(W: np.ndarray, x: LorentzPoint) -> LorentzPoint:
     if W.ndim != 2 or W.shape[1] != x.coords.shape[0] or W.shape[0] < 2:
         raise ValueError(f"hyp_matmul: weight shape {W.shape} does not act on dim {x.coords.shape[0]}")
     with ad.no_grad():
-        out = hyp_matmul_rows(_row(x.coords), Tensor(W), x.k)
+        # row 0 of W only feeds the time coordinate that exp_o drops, and
+        # column 0 only multiplies the 0 time coordinate of log_o(x)
+        out = hyp_matmul_rows(_row(x.coords), Tensor(W[1:, 1:]), x.k)
     return LorentzPoint(out.data[0].copy(), x.k)
 
 
@@ -387,7 +373,7 @@ def hyp_bias_add(x: LorentzPoint, b: TangentVector) -> LorentzPoint:
     o = origin(x.dim, x.k)
     _check_base(b, o, "hyp_bias_add")
     with ad.no_grad():
-        out = hyp_bias_add_rows(_row(x.coords), Tensor(b.coords), x.k)
+        out = hyp_bias_add_rows(_row(x.coords), Tensor(b.coords[1:]), x.k)
     return LorentzPoint(out.data[0].copy(), x.k)
 
 

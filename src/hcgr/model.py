@@ -34,7 +34,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from . import manifold
 from .autodiff import Tensor
 from .session_graph import SessionGraph, build_graph, neighborhood
 
-CHECKPOINT_FORMAT = "hcgr-v1"
+CHECKPOINT_FORMAT = "hcgr-v2"
 AGGREGATORS = ("multi_hop", "gat_last_layer", "gcn_mean")
 
 # Pre-softmax logit for non-neighbor pairs; exp underflows to exactly 0.
@@ -119,25 +120,21 @@ class ModelParams:
         """Gaussian(0, 0.1) initialization; curvature scalars start at k = 1
         and the catalog logit scale at LOGIT_SCALE_INIT."""
         rng = np.random.default_rng(seed)
-        w = hyper.dim + 1
+        d = hyper.dim
 
         def p(shape=()):
             return Tensor(rng.normal(0.0, 0.1, shape), requires_grad=True)
 
-        embeddings = p((catalog_size, hyper.dim))
-        attn_w = p((2 * w,))
+        embeddings = p((catalog_size, d))
+        attn_w = p((2 * d,))
         attn_b = p()
         fusion_logits = p((hyper.graph_layers + 1,))
         gate_logit = p()
         logit_scale = Tensor(np.array(math.log(LOGIT_SCALE_INIT)), requires_grad=True)
         blocks = []
         for _ in range(hyper.attention_blocks):
-            mats = [p((w, w)) for _ in range(5)]
-            biases = []
-            for _ in range(2):
-                b = rng.normal(0.0, 0.1, (w,))
-                b[0] = 0.0  # tangent at the origin has zero time component
-                biases.append(Tensor(b, requires_grad=True))
+            mats = [p((d, d)) for _ in range(5)]
+            biases = [p((d,)) for _ in range(2)]
             blocks.append(
                 BlockParams(
                     *mats,
@@ -166,20 +163,10 @@ class ModelParams:
             if arr.shape != shape:
                 raise CheckpointError(f"parameter '{name}' has shape {arr.shape}, expected {shape}")
             tensors[name] = Tensor(arr, requires_grad=True)
-        blocks = []
-        for j in range(hyper.attention_blocks):
-            blocks.append(
-                BlockParams(
-                    w_query=tensors[f"block.{j}.w_query"],
-                    w_key=tensors[f"block.{j}.w_key"],
-                    w_value=tensors[f"block.{j}.w_value"],
-                    ff_w1=tensors[f"block.{j}.ff_w1"],
-                    ff_w2=tensors[f"block.{j}.ff_w2"],
-                    ff_b1=tensors[f"block.{j}.ff_b1"],
-                    ff_b2=tensors[f"block.{j}.ff_b2"],
-                    kappa=tensors[f"block.{j}.kappa"],
-                )
-            )
+        blocks = [
+            BlockParams(**{f.name: tensors[f"block.{j}.{f.name}"] for f in fields(BlockParams)})
+            for j in range(hyper.attention_blocks)
+        ]
         graph_kappa = [tensors[f"graph_kappa.{l}"] for l in range(hyper.graph_layers + 1)]
         return cls(
             tensors["embeddings"],
@@ -204,10 +191,7 @@ class ModelParams:
         for l, t in enumerate(self.graph_kappa):
             out.append((f"graph_kappa.{l}", t))
         for j, blk in enumerate(self.blocks):
-            out.extend(
-                (f"block.{j}.{nm}", getattr(blk, nm))
-                for nm in ("w_query", "w_key", "w_value", "ff_w1", "ff_w2", "ff_b1", "ff_b2", "kappa")
-            )
+            out.extend((f"block.{j}.{f.name}", getattr(blk, f.name)) for f in fields(BlockParams))
         return out
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -223,10 +207,9 @@ class ModelParams:
 
 
 def expected_shapes(hyper: HyperParams, catalog_size: int) -> dict[str, tuple]:
-    w = hyper.dim + 1
     shapes: dict[str, tuple] = {
         "embeddings": (catalog_size, hyper.dim),
-        "attn_w": (2 * w,),
+        "attn_w": (2 * hyper.dim,),
         "attn_b": (),
         "fusion_logits": (hyper.graph_layers + 1,),
         "gate_logit": (),
@@ -236,9 +219,9 @@ def expected_shapes(hyper: HyperParams, catalog_size: int) -> dict[str, tuple]:
         shapes[f"graph_kappa.{l}"] = ()
     for j in range(hyper.attention_blocks):
         for nm in ("w_query", "w_key", "w_value", "ff_w1", "ff_w2"):
-            shapes[f"block.{j}.{nm}"] = (w, w)
-        shapes[f"block.{j}.ff_b1"] = (w,)
-        shapes[f"block.{j}.ff_b2"] = (w,)
+            shapes[f"block.{j}.{nm}"] = (hyper.dim, hyper.dim)
+        shapes[f"block.{j}.ff_b1"] = (hyper.dim,)
+        shapes[f"block.{j}.ff_b2"] = (hyper.dim,)
         shapes[f"block.{j}.kappa"] = ()
     return shapes
 
@@ -287,8 +270,11 @@ class Traces:
 
 @dataclass
 class ForwardResult:
+    """Output of one forward pass. ``readout[..., 1:]`` is the d-wide tangent
+    at the origin that ``score`` ranks the catalog with."""
+
     yhat: Tensor  # (V,) probability vector, (B, V) for a batch
-    readout: Tensor  # (d+1,) tangent vector at the origin, (B, d+1) for a batch
+    readout: Tensor  # (d+1,) with time coordinate 0, (B, d+1) for a batch
     graph: SessionGraph | None  # None for a batch
     traces: Traces
 
@@ -314,12 +300,10 @@ class HCGRModel:
         """Hyperboloid points of the items in ``ids``, an index array of any
         shape, under curvature k: ids.shape + (d+1,).
 
-        The embedding rows are tangent vectors at the origin without their
-        zero time coordinate; only the gathered rows are mapped.
+        The embedding rows are d-wide tangent vectors at the origin; only
+        the gathered rows are mapped.
         """
-        rows = ad.take_rows(self.params.embeddings, ids)
-        zeros = ad.constant(np.zeros(rows.shape[:-1] + (1,)))
-        return manifold.exp_o_rows(ad.concat([zeros, rows], axis=-1), k)
+        return manifold.exp_o_rows(ad.take_rows(self.params.embeddings, ids), k)
 
     def catalog_points(self) -> tuple[np.ndarray, Tensor]:
         """Points of every catalog item under the embedding curvature, with
@@ -339,11 +323,9 @@ class HCGRModel:
         return manifold.LorentzPoint(coords, float(k.data))
 
     def embedding_distances(self) -> np.ndarray:
-        """Geodesic distance from the origin for every catalog item."""
-        points, k = self.catalog_points()
-        with ad.no_grad():
-            o = manifold.origin_rows(self.catalog_size, self.hyper.dim, k)
-            return manifold.dist_rows(o, ad.constant(points), k).data[:, 0].copy()
+        """Geodesic distance from the origin for every catalog item:
+        d(o, exp_o(v)) = |v| for the item's tangent v, under any curvature."""
+        return np.linalg.norm(self.params.embeddings.data, axis=1)
 
     # -- forward pass -----------------------------------------------------
     def batch(self, sessions) -> SessionBatch:
@@ -430,32 +412,34 @@ class HCGRModel:
         gate = ad.sigmoid(p.gate_logit)
         o_vec = ad.add(ad.mul(gate, long_tan), ad.mul(ad.sub(1.0, gate), short_tan))
         traces.gate = float(gate.data)
+        # (d+1)-wide with time coordinate 0: the benchmark's score check reads readout[1:]
+        readout = ad.concat([ad.constant(np.zeros(o_vec.shape[:-1] + (1,))), o_vec], axis=-1)
 
         if single:
-            o_vec = o_vec[0]
+            o_vec, readout = o_vec[0], readout[0]
             traces.graph_attention = [a[0] for a in traces.graph_attention]
             traces.self_attention = [a[0] for a in traces.self_attention]
             collected = {name: pts[0] for name, pts in collected.items()}
         if collect_points:
             traces.points = collected
-        return ForwardResult(self.score(o_vec), o_vec, sb.graphs[0] if single else None, traces)
+        return ForwardResult(self.score(o_vec), readout, sb.graphs[0] if single else None, traces)
 
     def score(self, o_vec: Tensor) -> Tensor:
         """Catalog probabilities from readout tangent vectors.
 
-        Logits are dot products of the readout's space block with each
-        item's embedding row (both tangents at the origin have time
-        coordinate 0), multiplied by the learned scale exp(logit_scale),
-        followed by a softmax. A (d+1,) readout gives (V,) through one
-        matrix-vector product, a (B, d+1) batch (B, V) through one matrix
-        product against a transposed view of the embeddings.
+        Logits are dot products of the d-wide readout tangent with each
+        item's embedding row (both tangents at the origin), multiplied by
+        the learned scale exp(logit_scale), followed by a softmax. A (d,)
+        readout gives (V,) through one matrix-vector product, a (B, d) batch
+        (B, V) through one matrix product against a transposed view of the
+        embeddings.
         """
         E = self.params.embeddings
         scale = ad.exp(self.params.logit_scale)
         if o_vec.ndim == 1:
-            logits = ad.matmul(E, o_vec[1:])
+            logits = ad.matmul(E, o_vec)
         else:
-            logits = ad.matmul(o_vec[:, 1:], ad.transpose(E))
+            logits = ad.matmul(o_vec, ad.transpose(E))
         return ad.softmax_rows(ad.mul(scale, logits))
 
     # -- stages ------------------------------------------------------------
@@ -476,9 +460,9 @@ class HCGRModel:
             logits = ad.constant(bias)
         else:
             T = manifold.log_o_rows(X, k)
-            width = X.shape[-1]
-            a_row = ad.matmul(T, self.params.attn_w[:width])  # (B, n)
-            a_col = ad.matmul(T, self.params.attn_w[width:])  # (B, n)
+            d = self.hyper.dim
+            a_row = ad.matmul(T, self.params.attn_w[:d])  # (B, n)
+            a_col = ad.matmul(T, self.params.attn_w[d:])  # (B, n)
             pair = ad.add(ad.add(ad.reshape(a_row, (-1, n, 1)), ad.reshape(a_col, (-1, 1, n))), self.params.attn_b)
             logits = ad.add(ad.leaky_relu(pair, ATTN_SLOPE), ad.constant(bias))
         attn = ad.softmax_rows(logits)
@@ -518,17 +502,17 @@ class HCGRModel:
 
         Where a map onto the hyperboloid is immediately followed by the
         logarithm at the origin the pair is dropped (it is the identity on
-        zero-time tangents), so intermediate points are materialized only
-        where the bias terms genuinely need them.
+        tangents at the origin), so intermediate points are materialized
+        only where the bias terms genuinely need them.
         """
-        width = E.shape[-1]
         T = manifold.log_o_rows(E, k)
         q = ad.matmul(T, blk.w_query)
         key = ad.matmul(T, blk.w_key)
         v = ad.matmul(T, blk.w_value)
-        scores = ad.div(ad.matmul(q, ad.transpose(key)), math.sqrt(width))
+        # 1/sqrt(d + 1), not 1/sqrt(d): the temperature the model and the oracle are defined with
+        scores = ad.div(ad.matmul(q, ad.transpose(key)), math.sqrt(self.hyper.dim + 1))
         attn = ad.softmax_rows(ad.add(scores, ad.constant(key_mask)))
-        f_tan = manifold.zero_time(ad.matmul(attn, v))  # log_o of the attention output point
+        f_tan = ad.matmul(attn, v)  # log_o of the attention output point
 
         h1 = manifold.exp_o_rows(ad.matmul(f_tan, ad.transpose(blk.ff_w1)), k)
         h1 = manifold.hyp_bias_add_rows(h1, blk.ff_b1, k)
@@ -545,40 +529,53 @@ class HCGRModel:
 
 
 def save_checkpoint(path: str, model: HCGRModel, rng_seed: int):
-    doc = {
+    """Write the model to exactly ``path`` as one npz archive: a JSON header
+    (format, hyperparams, catalog size, seed) and every named parameter.
+    The archive goes to ``path + ".tmp"`` first and is renamed into place,
+    so an interrupted save leaves no partial checkpoint at ``path``."""
+    header = {
         "format": CHECKPOINT_FORMAT,
-        "hyperparams": {
-            "dim": model.hyper.dim,
-            "graph_layers": model.hyper.graph_layers,
-            "attention_blocks": model.hyper.attention_blocks,
-            "max_session_len": model.hyper.max_session_len,
-            "aggregator": model.hyper.aggregator,
-        },
+        "hyperparams": asdict(model.hyper),
         "catalog_size": model.catalog_size,
         "rng_seed": rng_seed,
-        "params": {name: arr.tolist() for name, arr in model.params.state_arrays().items()},
     }
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    # an open handle, because numpy appends ".npz" to a path without it
+    with open(tmp, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps(header)), **model.params.state_arrays())
     os.replace(tmp, path)
 
 
+def _not_a_checkpoint(path: str, reason) -> CheckpointError:
+    return CheckpointError(f"{path} is not a checkpoint of format {CHECKPOINT_FORMAT!r}: {reason}")
+
+
 def load_checkpoint(path: str) -> tuple[HCGRModel, int]:
+    """Read a checkpoint written by save_checkpoint; any other file raises
+    CheckpointError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"unknown checkpoint format {doc.get('format')!r}, expected {CHECKPOINT_FORMAT!r}")
+        npz = np.load(path, allow_pickle=False)
+    except OSError as exc:
+        raise _not_a_checkpoint(path, exc) from exc
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        # numpy's own message here may suggest loading the file as a pickle
+        raise _not_a_checkpoint(path, "not an npz archive, or a truncated one") from exc
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise _not_a_checkpoint(path, "a lone array, not an npz archive")
     try:
-        hyper = HyperParams(**doc["hyperparams"])
-        catalog_size = int(doc["catalog_size"])
-        params = ModelParams.from_arrays(hyper, catalog_size, doc["params"])
-        seed = int(doc.get("rng_seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CheckpointError):
-            raise
-        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
+        with npz:
+            if "header" not in npz.files:
+                raise ValueError("no header")
+            header = json.loads(npz["header"].item())
+            if not isinstance(header, dict):
+                raise ValueError("the header is not a JSON object")
+            if header.get("format") != CHECKPOINT_FORMAT:
+                raise ValueError(f"the header names format {header.get('format')!r}")
+            hyper = HyperParams(**header["hyperparams"])
+            catalog_size = int(header["catalog_size"])
+            seed = int(header.get("rng_seed", 0))
+            arrays = {name: npz[name] for name in npz.files if name != "header"}
+        params = ModelParams.from_arrays(hyper, catalog_size, arrays)
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise _not_a_checkpoint(path, exc) from exc
     return HCGRModel(hyper, catalog_size, params), seed

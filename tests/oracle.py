@@ -136,6 +136,13 @@ def forward(model, items):
     """Probability vector over the catalog, mirroring HCGRModel.forward."""
     hyper = model.hyper
     p = model.params.state_arrays()
+    # the model keeps tangents at the origin d-wide; zero-pad its parameters
+    # back into the (d+1)-wide layout with a time coordinate of 0
+    d = hyper.dim
+    p["attn_w"] = np.concatenate([[0.0], p["attn_w"][:d], [0.0], p["attn_w"][d:]])
+    for name, arr in list(p.items()):
+        if name.startswith("block.") and arr.ndim:
+            p[name] = np.pad(arr, [(1, 0) if n == d else (0, 0) for n in arr.shape])
     items = list(items)[-hyper.max_session_len :]
     L = hyper.graph_layers
     J = hyper.attention_blocks

@@ -1,5 +1,4 @@
 import csv
-import json
 import os
 from collections import defaultdict
 
@@ -120,8 +119,8 @@ class TestTrain:
         ckpt = str(tmp_path / "gcn.json")
         assert run("train", "--data", corpus, "--checkpoint-out", ckpt, "--dim", "6",
                    "--epochs", "0", "--aggregator", "gcn_mean", "--seed", "5") == 0
-        doc = json.load(open(ckpt, encoding="utf-8"))
-        assert doc["hyperparams"]["aggregator"] == "gcn_mean"
+        model, _ = load_checkpoint(ckpt)
+        assert model.hyper.aggregator == "gcn_mean"
 
     def test_config_file_and_flag_precedence(self, tmp_path, corpus):
         conf = tmp_path / "run.conf"
@@ -129,9 +128,9 @@ class TestTrain:
         ckpt = str(tmp_path / "conf.json")
         assert run("train", "--data", corpus, "--config", str(conf),
                    "--checkpoint-out", ckpt, "--dim", "6") == 0
-        doc = json.load(open(ckpt, encoding="utf-8"))
-        assert doc["hyperparams"]["dim"] == 6  # flag wins
-        assert doc["rng_seed"] == 9  # file beats default
+        model, seed = load_checkpoint(ckpt)
+        assert model.hyper.dim == 6  # flag wins
+        assert seed == 9  # file beats default
 
     @pytest.mark.parametrize("key", ["frobnicate", "threads"])
     def test_unknown_config_key_aborts_before_output(self, tmp_path, corpus, capsys, key):
@@ -177,6 +176,13 @@ class TestEval:
         bad.write_text('{"format": "other"}', encoding="utf-8")
         assert run("eval", "--data", corpus, "--checkpoint", str(bad),
                    "--out", str(tmp_path / "x.csv")) == 2
+
+    def test_json_array_checkpoint_exits_2(self, tmp_path, corpus, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]", encoding="utf-8")
+        assert run("eval", "--data", corpus, "--checkpoint", str(bad),
+                   "--out", str(tmp_path / "x.csv")) == 2
+        assert "hcgr-v2" in capsys.readouterr().err
 
     def test_catalog_mismatch_exits_2(self, tmp_path, corpus, checkpoint):
         log = str(tmp_path / "other.txt")

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ class TestEmbed:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             tiny_model().embed(6)
+
+    def test_distances_match_typed_distance_from_origin(self):
+        model = tiny_model(seed=4, catalog=9)
+        model.params.graph_kappa[0].data[...] = 0.7  # k away from 1
+        model.params.embeddings.data[3] = 0.0
+        dists = model.embedding_distances()
+        for item in range(model.catalog_size):
+            p = model.embed(item)
+            assert abs(dists[item] - mf.distance(mf.origin(4, p.k), p)) < 1e-12, item
 
 
 class TestForwardBasics:
@@ -193,16 +203,16 @@ class TestScoring:
 
     def test_zero_readout_scores_uniformly(self):
         model = tiny_model(seed=18)
-        y = model.score(ad.constant(np.zeros(5))).data
+        y = model.score(ad.constant(np.zeros(4))).data
         assert np.allclose(y, 1.0 / 6.0, atol=1e-15)
 
     def test_score_sums_to_one_and_preserves_order(self):
         model = tiny_model(seed=28, catalog=7)
         rng = np.random.default_rng(29)
-        o_vec = ad.constant(rng.normal(size=5))
+        o_vec = ad.constant(rng.normal(size=4))
         with ad.no_grad():
             y = model.score(o_vec).data
-            logits = model.params.embeddings.data @ o_vec.data[1:]
+            logits = model.params.embeddings.data @ o_vec.data
         assert abs(y.sum() - 1.0) < 1e-9
         assert np.array_equal(np.argsort(-y, kind="stable"), np.argsort(-logits, kind="stable"))
 
@@ -232,7 +242,7 @@ class TestGateBlend:
             k = model.caches().block_k[0]
             e_tan = mf.log_o_rows(ad.Tensor(out.traces.points["block_0"]), k).data
         pos = out.graph.position_of_last
-        assert np.abs(out.readout.data - e_tan[pos]).max() < 1e-12
+        assert np.abs(out.readout.data[1:] - e_tan[pos]).max() < 1e-12
 
     def test_gate_zero_blends_equally(self):
         model = tiny_model(seed=22)
@@ -244,7 +254,7 @@ class TestGateBlend:
             z_tan = mf.log_o_rows(ad.Tensor(out.traces.points["fused"]), caches.graph_k[-1]).data
         pos = out.graph.position_of_last
         want = 0.5 * e_tan[pos] + 0.5 * z_tan[pos]
-        assert np.abs(out.readout.data - want).max() < 1e-12
+        assert np.abs(out.readout.data[1:] - want).max() < 1e-12
 
 
 class TestForwardOracle:
@@ -284,8 +294,52 @@ class TestCheckpoint:
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps({"format": "hcgr-v2", "params": {}}), encoding="utf-8")
+        path.write_text(json.dumps({"format": "hcgr-v1", "params": {}}), encoding="utf-8")
         with pytest.raises(CheckpointError, match="format"):
+            load_checkpoint(str(path))
+
+    def test_lands_at_exactly_the_given_path(self, tmp_path):
+        save_checkpoint(str(tmp_path / "model"), tiny_model(seed=25), rng_seed=0)
+        assert sorted(os.listdir(tmp_path)) == ["model"]
+        load_checkpoint(str(tmp_path / "model"))
+
+    @staticmethod
+    def _write_v1_json(path, model):
+        path.write_text(json.dumps({"format": "hcgr-v1", "params": {}}), encoding="utf-8")
+
+    @staticmethod
+    def _write_non_zip(path, model):
+        path.write_bytes(b"\x00\x01 not an archive")
+
+    @staticmethod
+    def _write_lone_npy(path, model):
+        with open(path, "wb") as fh:
+            np.save(fh, model.params.embeddings.data)
+
+    @staticmethod
+    def _write_zip_without_header(path, model):
+        with open(path, "wb") as fh:
+            np.savez(fh, **model.params.state_arrays())
+
+    @staticmethod
+    def _write_list_header(path, model):
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.array("[1, 2]"), **model.params.state_arrays())
+
+    @staticmethod
+    def _write_truncated(path, model):
+        save_checkpoint(str(path), model, rng_seed=0)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+    @pytest.mark.parametrize(
+        "write",
+        ["_write_v1_json", "_write_non_zip", "_write_lone_npy", "_write_zip_without_header",
+         "_write_list_header", "_write_truncated"],
+    )
+    def test_non_checkpoint_rejected_naming_the_format(self, tmp_path, write):
+        path = tmp_path / "ckpt"
+        getattr(self, write)(path, tiny_model(seed=26))
+        with pytest.raises(CheckpointError, match="hcgr-v2"):
             load_checkpoint(str(path))
 
     def test_malformed_json_rejected(self, tmp_path):
@@ -298,11 +352,11 @@ class TestCheckpoint:
         model = tiny_model(seed=26)
         path = str(tmp_path / "ckpt.json")
         save_checkpoint(path, model, rng_seed=0)
-        doc = json.loads(open(path, encoding="utf-8").read())
-        doc["params"]["attn_w"] = [0.0, 1.0]
-        path2 = str(tmp_path / "bad.json")
-        with open(path2, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        arrays["attn_w"] = np.array([0.0, 1.0])
+        path2 = str(tmp_path / "bad.npz")
+        np.savez(path2, **arrays)
         with pytest.raises(CheckpointError, match="attn_w"):
             load_checkpoint(path2)
 
@@ -310,11 +364,11 @@ class TestCheckpoint:
         model = tiny_model(seed=27)
         path = str(tmp_path / "ckpt.json")
         save_checkpoint(path, model, rng_seed=0)
-        doc = json.loads(open(path, encoding="utf-8").read())
+        with np.load(path) as npz:
+            arrays = dict(npz)
         for name in ("gate_logit", "logit_scale"):
-            params = {k: v for k, v in doc["params"].items() if k != name}
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump({**doc, "params": params}, fh)
+            with open(path, "wb") as fh:
+                np.savez(fh, **{k: v for k, v in arrays.items() if k != name})
             with pytest.raises(CheckpointError, match=name):
                 load_checkpoint(path)
 

@@ -76,8 +76,8 @@ def _points_on_geodesic(k, *arc_lengths):
     d = 3
     out = []
     for s in arc_lengths:
-        v = np.zeros(d + 1)
-        v[1] = s
+        v = np.zeros(d)
+        v[0] = s
         out.append(mf.exp_o_rows(ad.Tensor(v.reshape(1, -1)), k).data[0])
     return out
 
@@ -157,7 +157,7 @@ class TestTotalLoss:
         for (session, target), n in zip(TOY_BATCH, negs):
             res = model.forward(session, caches=caches)
             ce.append(float(tr.cross_entropy_loss(res.yhat, target).data))
-            anchor = mf.exp_o_rows(ad.reshape(res.readout, (1, -1)), k0)
+            anchor = mf.exp_o_rows(ad.reshape(res.readout[1:], (1, -1)), k0)
             pos = model.item_points([target], k0)
             neg = model.item_points(n, k0)
             con.append(float(tr.contrastive_loss(anchor, pos, neg, cfg.margin, k0).data))
@@ -210,6 +210,20 @@ class TestTotalLoss:
             negs = [tr.draw_negatives(rng, s, t, ds.n_items, 2) for s, t in batch]
             counts.append(_count_nodes(tr.total_loss(model, batch, negs, cfg)))
         assert counts[0] == counts[1] == counts[2], counts
+
+    def test_every_parameter_entry_gets_a_gradient(self):
+        """Each entry of each parameter reaches the loss: with the L2 term
+        off, none has an exactly zero gradient."""
+        hyper = HyperParams(dim=6, graph_layers=2, attention_blocks=2, aggregator="multi_hop")
+        model = HCGRModel.create(hyper, 12, seed=8)
+        cfg = tr.TrainConfig(l2=0.0)
+        rng = np.random.default_rng(9)
+        batch = [(rng.integers(0, 12, size=rng.integers(2, 7)).tolist(), int(rng.integers(0, 12))) for _ in range(8)]
+        negs = [tr.draw_negatives(rng, s, t, 12, cfg.negatives) for s, t in batch]
+        model.params.zero_grads()
+        tr.total_loss(model, batch, negs, cfg).backward()
+        for name, t in model.params.named_parameters():
+            assert np.all(t.grad != 0.0), (name, np.argwhere(t.grad == 0.0).tolist())
 
     def test_l2_excludes_curvature(self):
         model, _ = toy_model(seed=7)
