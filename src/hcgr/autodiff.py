@@ -487,11 +487,11 @@ def _getitem(a: Tensor, key) -> Tensor:
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
 
+    # the gradient is a read-only broadcast view: backward closures and the
+    # accumulation in _run_backward never write into an incoming gradient
     def back(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g, a.data.shape).copy()),)
-        ge = g if keepdims else np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(ge, a.data.shape).copy()),)
+        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return ((a, np.broadcast_to(ge, a.data.shape)),)
 
     return _node(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), back)
 

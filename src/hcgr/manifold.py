@@ -63,31 +63,40 @@ def curvature_from_raw(kappa_raw) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-_FLIP_MASKS: dict[int, Tensor] = {}
+_FLIP_MASKS: dict[int, np.ndarray] = {}
 
 
-def _flip_mask(width: int) -> Tensor:
+def _flip_mask(width: int) -> np.ndarray:
+    """(1, ..., 1) with -1 in the time column, turning plain dots into
+    Lorentz products."""
     mask = _FLIP_MASKS.get(width)
     if mask is None:
-        arr = np.ones(width)
-        arr[0] = -1.0
-        mask = _FLIP_MASKS[width] = ad.constant(arr)
+        mask = _FLIP_MASKS[width] = np.ones(width)
+        mask[0] = -1.0
     return mask
 
 
-def _flip_time(X: Tensor) -> Tensor:
-    """Negate the time column, turning plain dots into Lorentz products."""
-    return ad.mul(X, _flip_mask(X.shape[-1]))
-
-
 def rowwise_inner(X: Tensor, Y: Tensor) -> Tensor:
-    """Lorentz inner product of paired rows, shape (..., n, 1)."""
-    return ad.tsum(ad.mul(_flip_time(X), Y), axis=-1, keepdims=True)
+    """Lorentz inner product of paired rows, shape (..., n, 1), as one
+    autodiff node. X and Y broadcast against each other as ``ad.mul``'s
+    operands do, such as one anchor row against m rows."""
+    X, Y = ad.as_tensor(X), ad.as_tensor(Y)
+    ad._binary_shapes(X, Y, "rowwise_inner")
+    mask = _flip_mask(X.shape[-1])
+    flipped = X.data * mask
+
+    def back(g):
+        return (
+            (X, ad._unbroadcast(g * Y.data * mask, X.shape)),
+            (Y, ad._unbroadcast(g * flipped, Y.shape)),
+        )
+
+    return ad.primitive((flipped * Y.data).sum(axis=-1, keepdims=True), "rowwise_inner", (X, Y), back)
 
 
 def pairwise_inner(X: Tensor, Y: Tensor) -> Tensor:
     """Lorentz inner products between all row pairs, shape (..., n, m)."""
-    return ad.matmul(_flip_time(X), ad.transpose(Y))
+    return ad.matmul(ad.mul(X, ad.constant(_flip_mask(X.shape[-1]))), ad.transpose(Y))
 
 
 def project_rows(M: Tensor, k) -> Tensor:

@@ -8,7 +8,9 @@ fuse all depths with softmax-normalized coefficients, refine with hyperbolic
 self-attention blocks, blend the long-term (self-attention) and short-term
 (last item) representations through a learned gate, and score the whole
 catalog with tangent-space dot products, multiplied by a learned positive
-scale, followed by a softmax.
+scale. ``forward`` returns these scaled logits; their softmax, the catalog
+probabilities, is computed when it is first read (``ForwardResult.yhat``),
+so training, whose loss works from the logits, never builds it.
 
 The pipeline runs on batches. ``HCGRModel.batch`` turns B sessions into a
 SessionBatch: node ids padded to the longest session's n_max nodes, a
@@ -36,6 +38,7 @@ import math
 import os
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -273,10 +276,16 @@ class ForwardResult:
     """Output of one forward pass. ``readout[..., 1:]`` is the d-wide tangent
     at the origin that ``score`` ranks the catalog with."""
 
-    yhat: Tensor  # (V,) probability vector, (B, V) for a batch
+    logits: Tensor  # (V,) scaled catalog logits, (B, V) for a batch
     readout: Tensor  # (d+1,) with time coordinate 0, (B, d+1) for a batch
     graph: SessionGraph | None  # None for a batch
     traces: Traces
+
+    @cached_property
+    def yhat(self) -> Tensor:
+        """Catalog probabilities, softmax(logits) over the last axis,
+        computed on first read."""
+        return ad.softmax_rows(self.logits)
 
 
 class HCGRModel:
@@ -365,7 +374,7 @@ class HCGRModel:
         return SessionBatch(graphs, node_ids, bias, key_mask, last)
 
     def forward(self, items, caches: ModelCaches | None = None, collect_points: bool = False) -> ForwardResult:
-        """Catalog probabilities for one session (item ids) or a SessionBatch.
+        """Scaled catalog logits for one session (item ids) or a SessionBatch.
 
         Both run the same batched pipeline over (B, n_max, d+1) tensors; one
         session is a batch of one whose result drops the batch axis.
@@ -425,22 +434,29 @@ class HCGRModel:
         return ForwardResult(self.score(o_vec), readout, sb.graphs[0] if single else None, traces)
 
     def score(self, o_vec: Tensor) -> Tensor:
-        """Catalog probabilities from readout tangent vectors.
+        """Scaled catalog logits z = exp(logit_scale) * (o E^T), as one
+        autodiff node named catalog_logits.
 
-        Logits are dot products of the d-wide readout tangent with each
+        Each logit is the dot product of the d-wide readout tangent with an
         item's embedding row (both tangents at the origin), multiplied by
-        the learned scale exp(logit_scale), followed by a softmax. A (d,)
-        readout gives (V,) through one matrix-vector product, a (B, d) batch
-        (B, V) through one matrix product against a transposed view of the
-        embeddings.
+        the learned scale s = exp(logit_scale). A (d,) readout gives (V,)
+        through one matrix-vector product, a (B, d) batch (B, V) through one
+        matrix product against a transposed view of the embeddings. The
+        backward pass is written out by hand: g_o = (s g) E,
+        g_E = (s g)^T o, which numpy lays out contiguous like the table, and
+        g_logit_scale = sum(g z).
         """
-        E = self.params.embeddings
-        scale = ad.exp(self.params.logit_scale)
-        if o_vec.ndim == 1:
-            logits = ad.matmul(E, o_vec)
-        else:
-            logits = ad.matmul(o_vec, ad.transpose(E))
-        return ad.softmax_rows(ad.mul(scale, logits))
+        embeddings, logit_scale = self.params.embeddings, self.params.logit_scale
+        o, E = o_vec.data, embeddings.data
+        s = np.exp(logit_scale.data)
+        z = s * (E @ o if o.ndim == 1 else o @ E.T)
+
+        def back(g):
+            gs = s * g
+            g_E = np.multiply.outer(gs, o) if o.ndim == 1 else gs.T @ o
+            return ((o_vec, gs @ E), (embeddings, g_E), (logit_scale, np.vdot(g, z)))
+
+        return ad.primitive(z, "catalog_logits", (o_vec, embeddings, logit_scale), back)
 
     # -- stages ------------------------------------------------------------
     def _graph_attention(self, bias: np.ndarray, X: Tensor, k) -> tuple[Tensor, np.ndarray]:
@@ -540,9 +556,12 @@ def save_checkpoint(path: str, model: HCGRModel, rng_seed: int):
         "rng_seed": rng_seed,
     }
     tmp = path + ".tmp"
+    # the parameter arrays themselves: copying them first cost about a fifth
+    # of the save-and-load round trip of a (32119, 64) table
+    arrays = {name: t.data for name, t in model.params.named_parameters()}
     # an open handle, because numpy appends ".npz" to a path without it
     with open(tmp, "wb") as fh:
-        np.savez(fh, header=np.array(json.dumps(header)), **model.params.state_arrays())
+        np.savez(fh, header=np.array(json.dumps(header)), **arrays)
     os.replace(tmp, path)
 
 

@@ -6,19 +6,23 @@ The total objective per batch is
 
 where the margin term hinges on geodesic distances between the session
 representation (mapped back onto the item manifold), the target item and
-uniformly sampled negative items. A batch is scored by one forward pass over
-its padded SessionBatch, so its loss is one autodiff graph whose size does
-not grow with the batch: the catalog softmax, the cross-entropy and the
-margin hinges each run once over (B, ...) tensors. The L2 penalty covers
-every parameter except the curvature scalars (shrinking those toward a
-softplus fixed point would be an arbitrary prior, not regularization) and
-the catalog logit scale (the penalty would pull the scale back to 1, the
-uniform-softmax regime it exists to leave).
+uniformly sampled negative items. L_ce is the binary cross-entropy of the
+catalog softmax against the one-hot target,
+-log p_t - sum_{i != t} log(1 - p_i), computed from the scaled logits by
+one autodiff node with a closed-form gradient; no probability is clamped.
+A batch is scored by one forward pass over its padded SessionBatch, so its
+loss is one autodiff graph whose size does not grow with the batch: the
+catalog logits, the cross-entropy and the margin hinges each run once over
+(B, ...) tensors. The L2 penalty covers every parameter except the
+curvature scalars (shrinking those toward a softplus fixed point would be an
+arbitrary prior, not regularization) and the catalog logit scale (the
+penalty would pull the scale back to 1, the uniform-softmax regime it exists
+to leave).
 
-Optimization is plain Adam over the flat/tangent parameter arrays; the
-manifold only enters through the forward pass, so no Riemannian machinery is
-needed. The learning rate halves after every third epoch and early stopping
-watches validation MRR@20.
+Optimization is plain Adam over the flat/tangent parameter arrays, swept in
+cache-sized row blocks; the manifold only enters through the forward pass,
+so no Riemannian machinery is needed. The learning rate halves after every
+third epoch and early stopping watches validation MRR@20.
 """
 
 from __future__ import annotations
@@ -37,7 +41,14 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-PROB_CLAMP = 1e-12
+# adam_step updates a parameter larger than this many entries in row blocks
+# of at most this many, so that the six arrays one block touches (p, g, m, v
+# and two scratch buffers, 256 KB each at this size) stay in a 4 MiB L2
+# across the update's passes instead of streaming from memory on each.
+# One update of a (32119, 64) table, median of 15, one thread of a 2-core
+# Xeon with 4 MiB L2 per core: 41.2 ms whole; in blocks of 4k entries
+# 32.9 ms, 8k 26.9, 16k 23.3, 32k 23.5, 64k 23.8, 128k 26.9, 256k 29.0.
+ADAM_BLOCK = 32768
 
 
 class TrainingNumericError(ArithmeticError):
@@ -83,7 +94,8 @@ class TrainState:
     step: int = 0
     epoch: int = 0
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    # two scratch arrays per parameter for adam_step's in-place arithmetic
+    # two scratch arrays per parameter for adam_step's in-place arithmetic,
+    # each the size of the parameter or of one of its row blocks
     buffers: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
     best_mrr: float = -np.inf
     best_epoch: int = 0
@@ -96,7 +108,10 @@ class TrainState:
                 self.moments[name] = (np.zeros_like(t.data), np.zeros_like(t.data))
         if not self.buffers:
             for name, t in self.model.params.named_parameters():
-                self.buffers[name] = (np.empty_like(t.data), np.empty_like(t.data))
+                shape = t.data.shape
+                if t.data.size > ADAM_BLOCK:  # one row block: about ADAM_BLOCK entries
+                    shape = (max(1, ADAM_BLOCK * shape[0] // t.data.size),) + shape[1:]
+                self.buffers[name] = (np.empty(shape), np.empty(shape))
         if self.best_arrays is None:
             self.best_arrays = self.model.params.state_arrays()
 
@@ -106,25 +121,65 @@ class TrainState:
 # ---------------------------------------------------------------------------
 
 
-def cross_entropy_loss(yhat: Tensor, target) -> Tensor:
-    """Binary cross-entropy against the one-hot target, summed over the catalog.
+def cross_entropy_loss(logits: Tensor, target) -> Tensor:
+    """Binary cross-entropy of the catalog softmax against the one-hot
+    target, summed over the catalog, as one autodiff node.
 
-    yhat is one (V,) probability vector with an int target, or a (B, V)
-    batch with B targets, whose losses are summed. Probabilities are clamped
-    to [1e-12, 1 - 1e-12] before the logs.
+    logits is one (V,) row of scaled catalog logits z with an int target, or
+    a (B, V) batch with B targets, whose losses are summed. With
+    p = softmax(z), a row's loss is -log p_t - sum_{i != t} log(1 - p_i):
+
+    - log p_t = z_t - max(z) - log S, with S the sum of exp(z - max(z)),
+      which is 1 plus the other entries' mass r, so log S = log1p(r);
+    - log(1 - p_i) = log1p(-p_i), except at the row's argmax, where 1 - p
+      is r / S, with r summed directly: p there can round to 1, and 1 - p
+      to 0, while r keeps full precision.
+
+    The gradient is closed form, dL/dz = w - p sum(w) with w_i = p_i/(1 - p_i)
+    and w_t = -1. At the argmax m, w_m (1 - p_m) is p_m, or -(1 - p_m) when
+    m = t, so dL/dz_m is taken as w_m (1 - p_m) - p_m sum_{k != m} w_k. That
+    avoids cancelling w_m against p_m w_m, which both grow without bound as
+    p_m nears 1.
     """
-    if yhat.ndim == 1:
-        yhat = ad.reshape(yhat, (1, -1))
+    z = logits.data.reshape(-1, logits.shape[-1])
     targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
-    n = yhat.shape[-1]
-    if targets.shape != yhat.shape[:-1]:
-        raise ValueError(f"{targets.size} targets for {yhat.shape[0]} probability rows")
+    n = z.shape[-1]
+    if targets.shape != z.shape[:-1]:
+        raise ValueError(f"{targets.size} targets for {z.shape[0]} logit rows")
     if targets.min() < 0 or targets.max() >= n:
         raise ValueError(f"target out of range for {n} items")
-    p = ad.clamp(yhat, lo=PROB_CLAMP, hi=1.0 - PROB_CLAMP)
-    log_miss = ad.log(ad.sub(1.0, p))
-    at = (np.arange(targets.size), targets)
-    return ad.neg(ad.add(ad.tsum(ad.sub(ad.log(p[at]), log_miss[at])), ad.tsum(log_miss)))
+    rows = np.arange(targets.size)
+    top = z.argmax(axis=-1)
+    shift = z[rows, top]
+    e = np.subtract(z, shift[:, None])
+    np.exp(e, out=e)  # exactly 1 at the argmax
+    e[rows, top] = 0.0
+    rest = e.sum(axis=-1)  # the other entries' mass, S - 1
+    S = rest + 1.0
+    p = np.divide(e, S[:, None], out=e)  # the softmax, but 0 at the argmax
+    log_miss = np.negative(p)
+    np.log1p(log_miss, out=log_miss)
+    log_S = np.log1p(rest)
+    log_miss[rows, top] = np.log(rest) - log_S
+    log_miss[rows, targets] = 0.0
+    loss = -((z[rows, targets] - shift - log_S).sum() + log_miss.sum())
+
+    def back(g):
+        w = np.subtract(1.0, p)
+        np.divide(p, w, out=w)
+        w[rows, targets] = -1.0
+        w[rows, top] = 0.0
+        rest_w = w.sum(axis=-1)  # sum of w over k != argmax
+        p_top = 1.0 / S
+        at_target = targets == top
+        w_top = np.where(at_target, -1.0, 1.0 / rest)
+        w_top_miss = np.where(at_target, -rest / S, p_top)  # w_m (1 - p_m)
+        w -= p * (rest_w + w_top)[:, None]
+        w[rows, top] = w_top_miss - p_top * rest_w
+        w *= g
+        return ((logits, w.reshape(logits.shape)),)
+
+    return ad.primitive(np.asarray(loss), "cross_entropy_loss", (logits,), back)
 
 
 def contrastive_loss(anchor: Tensor, positive: Tensor, negatives: Tensor, margin, k) -> Tensor:
@@ -173,7 +228,7 @@ def total_loss(
         caches = model.caches()
     result = model.forward(model.batch([session for session, _ in batch]), caches=caches)
     targets = np.array([target for _, target in batch], dtype=np.intp)
-    ce = cross_entropy_loss(result.yhat, targets)
+    ce = cross_entropy_loss(result.logits, targets)
     loss = ad.mul(cfg.ce_weight, ad.div(ce, float(len(batch))))
 
     rows = [i for i, neg_ids in enumerate(negatives) if len(neg_ids)]
@@ -209,29 +264,42 @@ def draw_negatives(
 # ---------------------------------------------------------------------------
 
 
+def _adam_update(p, g, m, v, a, b, lr, bc1, bc2):
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=b), g, out=b)
+    np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
+    p -= np.divide(a, b, out=a)
+
+
 def adam_step(state: TrainState, lr: float):
     """One Adam update of every parameter from its .grad.
 
     The arithmetic is m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p -= lr (m / bc1) / (sqrt(v / bc2) + eps), evaluated in that order
     through the state's scratch buffers, so no parameter-sized temporary is
-    allocated.
+    allocated. A parameter of more than ADAM_BLOCK entries is swept in row
+    blocks, each taken through the whole update before the next; every
+    entry's arithmetic is unchanged, so the result is byte-identical to the
+    whole-array update. Smaller parameters are updated whole.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in state.model.params.named_parameters():
-        g = p.grad
         m, v = state.moments[name]
         a, b = state.buffers[name]
-        m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
-        v *= ADAM_BETA2
-        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=b), g, out=b)
-        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
-        p.data -= np.divide(a, b, out=a)
+        if p.data.size <= ADAM_BLOCK:
+            _adam_update(p.data, p.grad, m, v, a, b, lr, bc1, bc2)
+            continue
+        rows = len(a)
+        for r in range(0, len(p.data), rows):
+            blk = slice(r, r + rows)
+            n = min(rows, len(p.data) - r)
+            _adam_update(p.data[blk], p.grad[blk], m[blk], v[blk], a[:n], b[:n], lr, bc1, bc2)
 
 
 def train_epoch(state: TrainState, train_pairs: list[tuple[list[int], int]], lr: float) -> float:

@@ -8,6 +8,7 @@ from hcgr import manifold as mf
 from hcgr.checks import manifold_check
 
 import oracle
+from test_autodiff import check_grad
 
 
 def random_point(rng, d, k, max_norm=2.0):
@@ -371,3 +372,33 @@ class TestFusedExpO:
             cV, ck = self._backward(_exp_o_composed, V0, k0, W)
             np.testing.assert_allclose(gV, cV, rtol=1e-12, atol=1e-14)
             assert gk == pytest.approx(ck, rel=1e-12)
+
+
+def _rowwise_inner_composed(X, Y):
+    """rowwise_inner as the chain of autodiff primitives that it fuses."""
+    mask = np.ones(X.shape[-1])
+    mask[0] = -1.0
+    return ad.tsum(ad.mul(ad.mul(X, ad.constant(mask)), Y), axis=-1, keepdims=True)
+
+
+class TestFusedRowwiseInner:
+    # paired 2-D rows, paired 3-D batches, and one anchor row per batch entry
+    # against several rows
+    SHAPES = (((5, 4), (5, 4)), ((2, 3, 4), (2, 3, 4)), ((2, 1, 4), (2, 3, 4)))
+
+    def test_is_one_node(self):
+        X = ad.Tensor(np.ones((3, 4)), requires_grad=True)
+        out = mf.rowwise_inner(X, X)
+        assert out._parents == (X, X)
+
+    def test_forward_bytes_equal_composed_chain(self):
+        rng = np.random.default_rng(0)
+        for sx, sy in self.SHAPES:
+            X, Y = ad.constant(rng.normal(size=sx)), ad.constant(rng.normal(size=sy))
+            assert mf.rowwise_inner(X, Y).data.tobytes() == _rowwise_inner_composed(X, Y).data.tobytes()
+
+    def test_gradients_match_central_differences(self):
+        rng = np.random.default_rng(1)
+        for sx, sy in self.SHAPES:
+            check_grad(mf.rowwise_inner, rng.normal(size=sx), rng.normal(size=sy))
+            check_grad(lambda V: mf.rowwise_inner(V, V), rng.normal(size=sy))

@@ -203,7 +203,7 @@ class TestScoring:
 
     def test_zero_readout_scores_uniformly(self):
         model = tiny_model(seed=18)
-        y = model.score(ad.constant(np.zeros(4))).data
+        y = ad.softmax_rows(model.score(ad.constant(np.zeros(4)))).data
         assert np.allclose(y, 1.0 / 6.0, atol=1e-15)
 
     def test_score_sums_to_one_and_preserves_order(self):
@@ -211,7 +211,7 @@ class TestScoring:
         rng = np.random.default_rng(29)
         o_vec = ad.constant(rng.normal(size=4))
         with ad.no_grad():
-            y = model.score(o_vec).data
+            y = ad.softmax_rows(model.score(o_vec)).data
             logits = model.params.embeddings.data @ o_vec.data
         assert abs(y.sum() - 1.0) < 1e-9
         assert np.array_equal(np.argsort(-y, kind="stable"), np.argsort(-logits, kind="stable"))

@@ -9,7 +9,7 @@ from hcgr import training as tr
 from hcgr.checks import TOY_BATCH, gradient_check_toy, toy_model
 from hcgr.dataset import preprocess, synth_hierarchical
 from hcgr.metrics import RankingMetrics
-from hcgr.model import HCGRModel, HyperParams
+from hcgr.model import AGGREGATORS, HCGRModel, HyperParams
 
 
 class TestTrainConfig:
@@ -39,7 +39,7 @@ class TestTrainConfig:
 class TestCrossEntropy:
     def test_perfect_prediction_is_almost_zero(self):
         y = np.full(6, 0.0)
-        y[2] = 1.0
+        y[2] = 100.0
         loss = tr.cross_entropy_loss(ad.Tensor(y), 2)
         assert 0.0 <= float(loss.data) < 1e-10
 
@@ -51,8 +51,7 @@ class TestCrossEntropy:
         rng = np.random.default_rng(0)
         for _ in range(100):
             z = rng.normal(size=8)
-            y = np.exp(z) / np.exp(z).sum()
-            loss = tr.cross_entropy_loss(ad.Tensor(y), int(rng.integers(8)))
+            loss = tr.cross_entropy_loss(ad.Tensor(z), int(rng.integers(8)))
             assert float(loss.data) >= 0.0
 
     def test_target_out_of_range(self):
@@ -62,13 +61,59 @@ class TestCrossEntropy:
     def test_batch_sums_rows(self):
         rng = np.random.default_rng(1)
         z = rng.normal(size=(3, 5))
-        y = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         targets = np.array([4, 0, 4])
-        rows = [float(tr.cross_entropy_loss(ad.Tensor(y[b]), int(t)).data) for b, t in enumerate(targets)]
-        batched = float(tr.cross_entropy_loss(ad.Tensor(y), targets).data)
+        rows = [float(tr.cross_entropy_loss(ad.Tensor(z[b]), int(t)).data) for b, t in enumerate(targets)]
+        batched = float(tr.cross_entropy_loss(ad.Tensor(z), targets).data)
         assert batched == pytest.approx(sum(rows), rel=1e-12)
         with pytest.raises(ValueError):
-            tr.cross_entropy_loss(ad.Tensor(y), targets[:2])
+            tr.cross_entropy_loss(ad.Tensor(z), targets[:2])
+
+    def test_equals_clamped_softmax_form_inside_the_clamp(self):
+        # the composed head this primitive replaced: softmax, probabilities
+        # clamped to [1e-12, 1 - 1e-12], then the BCE sum over the catalog
+        rng = np.random.default_rng(2)
+        z = 3.0 * rng.normal(size=(6, 40))
+        targets = rng.integers(40, size=6)
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        assert p.min() >= 1e-12 and p.max() <= 1.0 - 1e-12
+        p_t = p[np.arange(6), targets]
+        want = -(np.log(p_t) - np.log(1.0 - p_t) + np.log(1.0 - p).sum(axis=1)).sum()
+        got = float(tr.cross_entropy_loss(ad.Tensor(z), targets).data)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def _grad_and_central_differences(z0, target, h=1e-5):
+        z = ad.Tensor(np.array(z0), requires_grad=True)
+        loss = tr.cross_entropy_loss(z, target)
+        loss.backward()
+
+        def value(x):
+            return float(tr.cross_entropy_loss(ad.Tensor(x), target).data)
+
+        fd = np.zeros(len(z0))
+        for i in range(len(z0)):
+            up, down = np.array(z0), np.array(z0)
+            up[i] += h
+            down[i] -= h
+            fd[i] = (value(up) - value(down)) / (2.0 * h)
+        return float(loss.data), z.grad, fd
+
+    def test_saturated_wrong_prediction_keeps_its_gradient(self):
+        # a probability clamp zeroes every logit gradient here
+        loss, grad, fd = self._grad_and_central_differences([40.0, 0.0, 0.0, 0.0], 1)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        assert np.abs(grad).max() > 0.5
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+    def test_top_probability_within_1e_15_of_one(self):
+        z0 = [60.0, 0.0, 0.0]
+        assert 1.0 - 1.0 / (1.0 + 2.0 * math.exp(-60.0)) <= 1e-15
+        for target in (0, 1):
+            loss, grad, fd = self._grad_and_central_differences(z0, target)
+            assert np.isfinite(loss) and loss > 0.0
+            assert np.all(np.isfinite(grad))
+            np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9 * np.abs(fd).max())
 
 
 def _points_on_geodesic(k, *arc_lengths):
@@ -156,7 +201,7 @@ class TestTotalLoss:
         ce, con = [], []
         for (session, target), n in zip(TOY_BATCH, negs):
             res = model.forward(session, caches=caches)
-            ce.append(float(tr.cross_entropy_loss(res.yhat, target).data))
+            ce.append(float(tr.cross_entropy_loss(res.logits, target).data))
             anchor = mf.exp_o_rows(ad.reshape(res.readout[1:], (1, -1)), k0)
             pos = model.item_points([target], k0)
             neg = model.item_points(n, k0)
@@ -171,7 +216,7 @@ class TestTotalLoss:
         total = float(tr.total_loss(model, TOY_BATCH, negs, cfg).data)
         caches = model.caches()
         ce = [
-            float(tr.cross_entropy_loss(model.forward(s, caches=caches).yhat, t).data)
+            float(tr.cross_entropy_loss(model.forward(s, caches=caches).logits, t).data)
             for s, t in TOY_BATCH
         ]
         want = np.mean(ce) + 2e-3 * float(tr.l2_penalty(model).data)
@@ -294,6 +339,68 @@ class TestAdam:
             assert param.data.tobytes() == params[name].tobytes(), name
             assert state.moments[name][0].tobytes() == moments[name][0].tobytes(), name
             assert state.moments[name][1].tobytes() == moments[name][1].tobytes(), name
+
+    def test_row_blocks_byte_equal_whole_array_update(self):
+        # a (32119, 64) table is swept in blocks, the last one partial
+        model = HCGRModel.create(HyperParams(dim=64), 32119, seed=23)
+        state = tr.TrainState(model=model, config=tr.TrainConfig())
+        table = model.params.embeddings
+        assert 32119 % len(state.buffers["embeddings"][0]) != 0
+        rng = np.random.default_rng(24)
+        p = table.data.copy()
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        lr = 0.005
+        for t in range(1, 3):
+            g = table.grad
+            g[...] = rng.normal(size=g.shape)
+            m = tr.ADAM_BETA1 * m + (1.0 - tr.ADAM_BETA1) * g
+            v = tr.ADAM_BETA2 * v + (1.0 - tr.ADAM_BETA2) * g * g
+            p = p - lr * (m / (1.0 - tr.ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - tr.ADAM_BETA2**t)) + tr.ADAM_EPS)
+            tr.adam_step(state, lr)
+        assert table.data.tobytes() == p.tobytes()
+        assert state.moments["embeddings"][0].tobytes() == m.tobytes()
+        assert state.moments["embeddings"][1].tobytes() == v.tobytes()
+
+
+def _read_only_gradients(root):
+    """Wrap the backward closure of every node recorded under ``root`` so
+    that the gradient it receives is a read-only array."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None:
+            def back(g, fn=node._backward):
+                g = np.asarray(g).view()
+                g.flags.writeable = False
+                return fn(g)
+
+            node._backward = back
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+
+
+class TestReadOnlyIncomingGradients:
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    def test_desk_batch_backward_never_writes_into_its_gradient(self, aggregator):
+        # tsum hands its operand a read-only broadcast view as gradient
+        ds = preprocess(synth_hierarchical(100, 2000, seed=7), [f"i{v}" for v in range(100)], seed=7)
+        batch = ds.train[:32]
+        model = HCGRModel.create(HyperParams(dim=16, aggregator=aggregator), ds.n_items, seed=7)
+        cfg = tr.TrainConfig(batch_size=32, contrastive_weight=0.5, negatives=2, margin=1.0, l2=0.0)
+        rng = np.random.default_rng(7)
+        negs = [tr.draw_negatives(rng, s, t, ds.n_items, 2) for s, t in batch]
+
+        def leaf_grads(read_only):
+            model.params.zero_grads()
+            loss = tr.total_loss(model, batch, negs, cfg)
+            if read_only:
+                _read_only_gradients(loss)
+            loss.backward()
+            return {name: t.grad.tobytes() for name, t in model.params.named_parameters()}
+
+        assert leaf_grads(read_only=True) == leaf_grads(read_only=False)
 
 
 class TestNegativeSampling:
