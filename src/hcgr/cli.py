@@ -15,6 +15,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,44 +29,9 @@ class UsageError(ValueError):
     pass
 
 
-CONFIG_TYPES = {
-    "dim": int,
-    "graph_layers": int,
-    "attention_blocks": int,
-    "max_session_len": int,
-    "aggregator": str,
-    "learning_rate": float,
-    "lr_decay": float,
-    "lr_decay_every": int,
-    "l2": float,
-    "batch_size": int,
-    "epochs": int,
-    "patience": int,
-    "ce_weight": float,
-    "contrastive_weight": float,
-    "margin": float,
-    "negatives": int,
-    "seed": int,
-    "data": str,
-    "checkpoint": str,
-    "output": str,
-}
-
-HYPER_KEYS = ("dim", "graph_layers", "attention_blocks", "max_session_len", "aggregator")
-TRAIN_KEYS = (
-    "learning_rate",
-    "lr_decay",
-    "lr_decay_every",
-    "l2",
-    "batch_size",
-    "epochs",
-    "patience",
-    "ce_weight",
-    "contrastive_weight",
-    "margin",
-    "negatives",
-    "seed",
-)
+HYPER_KEYS = tuple(f.name for f in fields(HyperParams))
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
+CONFIG_TYPES = {f.name: type(f.default) for f in fields(HyperParams) + fields(TrainConfig)}
 
 
 def _default_seed() -> int:
@@ -104,10 +70,7 @@ def load_config_file(path: str) -> dict:
 
 def merge_config(args, keys) -> dict:
     """defaults < config file < flags, restricted to the requested keys."""
-    merged = dict(HyperParams().__dict__)
-    merged.update(
-        {k: v for k, v in TrainConfig().__dict__.items() if k in CONFIG_TYPES}
-    )
+    merged = {**HyperParams().__dict__, **TrainConfig().__dict__}
     merged["seed"] = _default_seed()
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
     merged.update({k: v for k, v in file_values.items() if k in keys})

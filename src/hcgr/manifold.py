@@ -244,11 +244,6 @@ def hyp_activation_rows(X: Tensor, act, k_from, k_to) -> Tensor:
     return exp_o_rows(act(log_o_rows(X, k_from)), k_to)
 
 
-def transfer_rows(X: Tensor, k_from, k_to) -> Tensor:
-    """Move points from the k_from hyperboloid to k_to along their tangents."""
-    return exp_o_rows(log_o_rows(X, k_from), k_to)
-
-
 # ---------------------------------------------------------------------------
 # typed single-point API
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Session recommender operating on the Lorentz hyperboloid.
 
 Pipeline per session: look up item embeddings (stored as tangent vectors at
-the origin; only the rows a batch gathers are mapped onto the manifold),
-run graph attention layers over the
-session graph (GAT-style LeakyReLU pair scores plus log transition counts),
-fuse all depths with softmax-normalized coefficients, refine with hyperbolic
-self-attention blocks, blend the long-term (self-attention) and short-term
-(last item) representations through a learned gate, and score the whole
-catalog with tangent-space dot products, multiplied by a learned positive
-scale. ``forward`` returns these scaled logits; their softmax, the catalog
+the origin), run graph attention layers over the session graph (GAT-style
+LeakyReLU pair scores plus log transition counts), fuse all depths with
+softmax-normalized coefficients, refine with hyperbolic self-attention
+blocks, blend the long-term (self-attention) and short-term (last item)
+representations through a learned gate, and score the whole catalog with
+tangent-space dot products, multiplied by a learned positive scale.
+``forward`` returns these scaled logits; their softmax, the catalog
 probabilities, is computed when it is first read (``ForwardResult.yhat``),
 so training, whose loss works from the logits, never builds it.
 
@@ -16,14 +15,22 @@ The pipeline runs on batches. ``HCGRModel.batch`` turns B sessions into a
 SessionBatch: node ids padded to the longest session's n_max nodes, a
 (B, n_max, n_max) graph-attention offset (log union weight on neighbour
 pairs, MASK_LOGIT elsewhere) and a (B, 1, n_max) self-attention key mask.
-``forward`` then runs every stage once over (B, n_max, d+1) tensors, reads
-out each session's last node, and scores the catalog with one (B, V)
-product. Padding slots repeat a valid item, so they sit on the hyperboloid
-and every manifold op stays finite on them; each neighbours only itself and
-is masked as a key, so no real node attends to it, it changes no real
-node's output and it receives exactly zero gradient. Training, evaluation
-and single-session requests all go through this path; one session is a
-batch of one.
+``forward`` then runs every stage once over the batch, reads out each
+session's last node, and scores the catalog with one (B, V) product.
+
+Stages hand each other (B, n_max, d) tangents at the origin. Each graph
+layer and each attention block has its own curvature, and moving between
+them through the origin, exp_o under the next curvature of log_o under the
+last, is the identity on these tangents. So a stage maps onto its own
+hyperboloid, as (B, n_max, d+1) points, only where a manifold operation
+needs points: the Gram matrix and the logarithms at each node in graph
+attention, and the hyperbolic biases in each block's feed-forward.
+
+Padding slots repeat a valid item, so every manifold op stays finite on
+them; each neighbours only itself and is masked as a key, so no real node
+attends to it, it changes no real node's output and it receives exactly
+zero gradient. Training, evaluation and single-session requests all go
+through this path; one session is a batch of one.
 
 Every trainable parameter is an unconstrained array in the tangent space at
 the origin (or a plain Euclidean matrix/scalar); the manifold structure
@@ -232,8 +239,10 @@ def expected_shapes(hyper: HyperParams, catalog_size: int) -> dict[str, tuple]:
 @dataclass
 class ModelCaches:
     """Per-batch curvature tensors shared by every forward pass until
-    parameters change. Item points are not cached: each pass maps only the
-    rows it gathers (HCGRModel.item_points)."""
+    parameters change. Nothing catalog-sized is cached: the forward works
+    on the embedding rows it gathers, which are already origin tangents.
+    graph_k[0] is the curvature of the item points the margin loss and
+    catalog_points use; the forward pass itself does not read it."""
 
     graph_k: list[Tensor]
     block_k: list[Tensor]
@@ -260,7 +269,10 @@ class Traces:
 
     For one session the arrays are (n, n) attention matrices and (n, d+1)
     points; for a SessionBatch they keep the leading batch axis and padding
-    slots, and node_items is empty.
+    slots, and node_items is empty. ``points`` (with collect_points=True)
+    holds each stage's output tangents mapped onto that stage's hyperboloid:
+    "embed" and "graph_layer_l" under graph_k[0] and graph_k[l], "fused"
+    under graph_k[-1], "block_j" under block_k[j].
     """
 
     node_items: tuple[int, ...]
@@ -273,11 +285,10 @@ class Traces:
 
 @dataclass
 class ForwardResult:
-    """Output of one forward pass. ``readout[..., 1:]`` is the d-wide tangent
-    at the origin that ``score`` ranks the catalog with."""
+    """Output of one forward pass."""
 
     logits: Tensor  # (V,) scaled catalog logits, (B, V) for a batch
-    readout: Tensor  # (d+1,) with time coordinate 0, (B, d+1) for a batch
+    readout_tangent: Tensor  # (d,) origin tangent that ``score`` ranks the catalog with, (B, d) for a batch
     graph: SessionGraph | None  # None for a batch
     traces: Traces
 
@@ -286,6 +297,13 @@ class ForwardResult:
         """Catalog probabilities, softmax(logits) over the last axis,
         computed on first read."""
         return ad.softmax_rows(self.logits)
+
+    @cached_property
+    def readout(self) -> Tensor:
+        """The readout tangent as a (d+1)-wide constant with time coordinate
+        0, computed on first read."""
+        o = self.readout_tangent.data
+        return ad.constant(np.concatenate([np.zeros(o.shape[:-1] + (1,)), o], axis=-1))
 
 
 class HCGRModel:
@@ -376,8 +394,9 @@ class HCGRModel:
     def forward(self, items, caches: ModelCaches | None = None, collect_points: bool = False) -> ForwardResult:
         """Scaled catalog logits for one session (item ids) or a SessionBatch.
 
-        Both run the same batched pipeline over (B, n_max, d+1) tensors; one
-        session is a batch of one whose result drops the batch axis.
+        Both run the same batched pipeline over (B, n_max, d) origin
+        tangents; one session is a batch of one whose result drops the batch
+        axis.
         """
         single = not isinstance(items, SessionBatch)
         sb = self.batch([items]) if single else items
@@ -385,53 +404,43 @@ class HCGRModel:
             caches = self.caches()
         p = self.params
         traces = Traces(node_items=sb.graphs[0].nodes if single else ())
-        collected: dict[str, np.ndarray] = {}
+        stage_tangents: dict[str, tuple[Tensor, Tensor]] = {}
 
-        X = self.item_points(sb.node_ids, caches.graph_k[0])
-        if collect_points:
-            collected["embed"] = X.data
-
-        per_layer = [X]
+        T = ad.take_rows(p.embeddings, sb.node_ids)
+        stage_tangents["embed"] = (T, caches.graph_k[0])
+        per_layer = [T]
         for l in range(1, self.hyper.graph_layers + 1):
-            X_in = manifold.transfer_rows(per_layer[-1], caches.graph_k[l - 1], caches.graph_k[l])
-            X_out, attn = self._graph_attention(sb.bias, X_in, caches.graph_k[l])
+            T, attn = self._graph_attention(sb.bias, T, caches.graph_k[l])
             traces.graph_attention.append(attn)
-            per_layer.append(X_out)
-            if collect_points:
-                collected[f"graph_layer_{l}"] = X_out.data
+            per_layer.append(T)
+            stage_tangents[f"graph_layer_{l}"] = (T, caches.graph_k[l])
 
-        Z, fusion_weights = self._fuse(per_layer, caches.graph_k)
+        Z, fusion_weights = self._fuse(per_layer)
         traces.fusion_weights = fusion_weights
-        if collect_points:
-            collected["fused"] = Z.data
+        stage_tangents["fused"] = (Z, caches.graph_k[-1])
 
         E = Z
-        prev_k = caches.graph_k[-1]
         for j, blk in enumerate(p.blocks):
-            E_in = manifold.transfer_rows(E, prev_k, caches.block_k[j])
-            E, attn = self._self_attention_block(E_in, sb.key_mask, blk, caches.block_k[j])
+            E, attn = self._self_attention_block(E, sb.key_mask, blk, caches.block_k[j])
             traces.self_attention.append(attn)
-            prev_k = caches.block_k[j]
-            if collect_points:
-                collected[f"block_{j}"] = E.data
+            stage_tangents[f"block_{j}"] = (E, caches.block_k[j])
 
         at_last = (np.arange(len(sb.last)), sb.last)
-        long_tan = manifold.log_o_rows(E[at_last], prev_k)
-        short_tan = manifold.log_o_rows(Z[at_last], caches.graph_k[-1])
         gate = ad.sigmoid(p.gate_logit)
-        o_vec = ad.add(ad.mul(gate, long_tan), ad.mul(ad.sub(1.0, gate), short_tan))
+        o_vec = ad.add(ad.mul(gate, E[at_last]), ad.mul(ad.sub(1.0, gate), Z[at_last]))
         traces.gate = float(gate.data)
-        # (d+1)-wide with time coordinate 0: the benchmark's score check reads readout[1:]
-        readout = ad.concat([ad.constant(np.zeros(o_vec.shape[:-1] + (1,))), o_vec], axis=-1)
 
         if single:
-            o_vec, readout = o_vec[0], readout[0]
+            o_vec = o_vec[0]
             traces.graph_attention = [a[0] for a in traces.graph_attention]
             traces.self_attention = [a[0] for a in traces.self_attention]
-            collected = {name: pts[0] for name, pts in collected.items()}
         if collect_points:
-            traces.points = collected
-        return ForwardResult(self.score(o_vec), readout, sb.graphs[0] if single else None, traces)
+            with ad.no_grad():
+                traces.points = {
+                    name: manifold.exp_o_rows(t, k).data[0 if single else slice(None)]
+                    for name, (t, k) in stage_tangents.items()
+                }
+        return ForwardResult(self.score(o_vec), o_vec, sb.graphs[0] if single else None, traces)
 
     def score(self, o_vec: Tensor) -> Tensor:
         """Scaled catalog logits z = exp(logit_scale) * (o E^T), as one
@@ -459,23 +468,24 @@ class HCGRModel:
         return ad.primitive(z, "catalog_logits", (o_vec, embeddings, logit_scale), back)
 
     # -- stages ------------------------------------------------------------
-    def _graph_attention(self, bias: np.ndarray, X: Tensor, k) -> tuple[Tensor, np.ndarray]:
-        """One round of neighborhood attention in the tangent bundle.
+    def _graph_attention(self, bias: np.ndarray, T: Tensor, k) -> tuple[Tensor, np.ndarray]:
+        """One round of neighborhood attention in the tangent bundle, from
+        and to origin tangents T of the nodes.
 
         The score of a pair (i, j) is LeakyReLU(a_row.T_i + a_col.T_j + b) plus
         the pair's offset in ``bias`` (the log of the transition count, or
-        MASK_LOGIT off the neighbourhood), with T the origin-tangents of the
-        endpoints. A linear score would lose the centre-node term and the
-        bias to the row softmax's shift invariance; through the LeakyReLU
-        they change the weights of any row whose scores straddle the kink.
-        Weighted neighbor tangents (logarithms at the node) are combined and
-        mapped back with exp.
+        MASK_LOGIT off the neighbourhood). A linear score would lose the
+        centre-node term and the bias to the row softmax's shift invariance;
+        through the LeakyReLU they change the weights of any row whose scores
+        straddle the kink. The nodes are mapped onto the hyperboloid of
+        curvature k once; weighted neighbor tangents (logarithms at the node)
+        are combined, mapped back with exp at the node, and the result is
+        handed on as its tangent at the origin.
         """
-        n = X.shape[-2]
+        n = T.shape[-2]
         if self.hyper.aggregator == "gcn_mean":
             logits = ad.constant(bias)
         else:
-            T = manifold.log_o_rows(X, k)
             d = self.hyper.dim
             a_row = ad.matmul(T, self.params.attn_w[:d])  # (B, n)
             a_col = ad.matmul(T, self.params.attn_w[d:])  # (B, n)
@@ -488,6 +498,7 @@ class HCGRModel:
         # |u_ij|^2 = G_ij^2/k - k, so the aggregate is C X + diag(C G^T/k) X.
         # log_x(x) = 0, so the diagonal of d_ij/|u_ij|, a 0/0 that roundoff
         # sends to 0 or about 1, is masked to exactly 0.
+        X = manifold.exp_o_rows(T, k)
         G = manifold.pairwise_inner(X, X)
         d_pair = ad.mul(ad.sqrt(ad.as_tensor(k)), ad.arcosh(ad.clamp(ad.div(ad.neg(G), k), lo=1.0)))
         inv_unorm = ad.div(
@@ -497,31 +508,28 @@ class HCGRModel:
         C = ad.mul(ad.mul(ad.mul(attn, d_pair), inv_unorm), ad.constant(1.0 - np.eye(n)))
         self_coef = ad.div(ad.tsum(ad.mul(C, G), axis=-1, keepdims=True), k)
         agg = ad.add(ad.matmul(C, X), ad.mul(X, self_coef))
-        X_out = manifold.exp_map_rows(X, agg, k)
-        return X_out, attn.data
+        return manifold.log_o_rows(manifold.exp_map_rows(X, agg, k), k), attn.data
 
-    def _fuse(self, per_layer: list[Tensor], graph_k: list[Tensor]) -> tuple[Tensor, np.ndarray]:
-        """Convex tangent-space combination of all aggregation depths."""
+    def _fuse(self, per_layer: list[Tensor]) -> tuple[Tensor, np.ndarray]:
+        """Convex combination of the origin tangents of all aggregation depths."""
         if self.hyper.aggregator == "gat_last_layer":
             return per_layer[-1], np.eye(len(per_layer))[-1]
         weights = ad.softmax_rows(self.params.fusion_logits)
         acc = None
-        for l, (x, k) in enumerate(zip(per_layer, graph_k)):
-            term = ad.mul(weights[l], manifold.log_o_rows(x, k))
+        for l, t in enumerate(per_layer):
+            term = ad.mul(weights[l], t)
             acc = term if acc is None else ad.add(acc, term)
-        return manifold.exp_o_rows(acc, graph_k[-1]), weights.data.copy()
+        return acc, weights.data.copy()
 
-    def _self_attention_block(self, E: Tensor, key_mask: np.ndarray, blk: BlockParams, k) -> tuple[Tensor, np.ndarray]:
-        """Scaled dot-product self-attention and feed-forward, both computed
-        through the tangent space at the origin, with a tangent skip link.
-        ``key_mask`` offsets the logits of padding keys by MASK_LOGIT.
+    def _self_attention_block(self, T: Tensor, key_mask: np.ndarray, blk: BlockParams, k) -> tuple[Tensor, np.ndarray]:
+        """Scaled dot-product self-attention and feed-forward, from and to
+        origin tangents T, with a tangent skip link. ``key_mask`` offsets the
+        logits of padding keys by MASK_LOGIT.
 
-        Where a map onto the hyperboloid is immediately followed by the
-        logarithm at the origin the pair is dropped (it is the identity on
-        tangents at the origin), so intermediate points are materialized
-        only where the bias terms genuinely need them.
+        The attention works on the tangents themselves. The feed-forward maps
+        onto the hyperboloid of curvature k only for its two hyperbolic
+        biases, and takes each result back to the origin tangent space.
         """
-        T = manifold.log_o_rows(E, k)
         q = ad.matmul(T, blk.w_query)
         key = ad.matmul(T, blk.w_key)
         v = ad.matmul(T, blk.w_value)
@@ -535,8 +543,7 @@ class HCGRModel:
         act_tan = ad.leaky_relu(manifold.log_o_rows(h1, k), 0.2)
         h2 = manifold.exp_o_rows(ad.matmul(act_tan, ad.transpose(blk.ff_w2)), k)
         h2 = manifold.hyp_bias_add_rows(h2, blk.ff_b2, k)
-        out = manifold.exp_o_rows(ad.add(manifold.log_o_rows(h2, k), f_tan), k)
-        return out, attn.data
+        return ad.add(manifold.log_o_rows(h2, k), f_tan), attn.data
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,10 @@ ADAM_EPS = 1e-8
 # 32.9 ms, 8k 26.9, 16k 23.3, 32k 23.5, 64k 23.8, 128k 26.9, 256k 29.0.
 ADAM_BLOCK = 32768
 
+# Smallest normal float64. cross_entropy_loss takes log r and 1/r of a row's
+# non-argmax mass r only at or above it; below, 1/r can overflow.
+_TINY = np.finfo(np.float64).tiny
+
 
 class TrainingNumericError(ArithmeticError):
     """A batch produced a non-finite value; carries the batch index."""
@@ -133,13 +137,16 @@ def cross_entropy_loss(logits: Tensor, target) -> Tensor:
       which is 1 plus the other entries' mass r, so log S = log1p(r);
     - log(1 - p_i) = log1p(-p_i), except at the row's argmax, where 1 - p
       is r / S, with r summed directly: p there can round to 1, and 1 - p
-      to 0, while r keeps full precision.
+      to 0, while r keeps full precision. Where r falls below the smallest
+      normal float (every other logit more than about 708 below the
+      maximum), log r is taken by a logsumexp over the other entries.
 
     The gradient is closed form, dL/dz = w - p sum(w) with w_i = p_i/(1 - p_i)
     and w_t = -1. At the argmax m, w_m (1 - p_m) is p_m, or -(1 - p_m) when
     m = t, so dL/dz_m is taken as w_m (1 - p_m) - p_m sum_{k != m} w_k. That
     avoids cancelling w_m against p_m w_m, which both grow without bound as
-    p_m nears 1.
+    p_m nears 1. In a row whose r is below the smallest normal float,
+    w_m = 1/r would overflow, so p_i w_m is formed as exp(z_i - max - log r) / S.
     """
     z = logits.data.reshape(-1, logits.shape[-1])
     targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
@@ -160,7 +167,18 @@ def cross_entropy_loss(logits: Tensor, target) -> Tensor:
     log_miss = np.negative(p)
     np.log1p(log_miss, out=log_miss)
     log_S = np.log1p(rest)
-    log_miss[rows, top] = np.log(rest) - log_S
+    at_target = targets == top
+    normal = rest >= _TINY
+    rest_or_1 = np.where(normal, rest, 1.0)
+    log_rest = np.log(rest_or_1)
+    # rows where r underflows and log r is used: the target is not the argmax
+    under = np.flatnonzero(~normal & ~at_target)
+    if under.size:
+        z_rest = z[under] - shift[under, None]
+        z_rest[np.arange(under.size), top[under]] = -np.inf
+        m = z_rest.max(axis=-1, keepdims=True)
+        log_rest[under] = (m + np.log(np.exp(z_rest - m).sum(axis=-1, keepdims=True)))[:, 0]
+    log_miss[rows, top] = log_rest - log_S
     log_miss[rows, targets] = 0.0
     loss = -((z[rows, targets] - shift - log_S).sum() + log_miss.sum())
 
@@ -171,10 +189,12 @@ def cross_entropy_loss(logits: Tensor, target) -> Tensor:
         w[rows, top] = 0.0
         rest_w = w.sum(axis=-1)  # sum of w over k != argmax
         p_top = 1.0 / S
-        at_target = targets == top
-        w_top = np.where(at_target, -1.0, 1.0 / rest)
+        w_top = np.where(at_target, -1.0, 1.0 / rest_or_1)
         w_top_miss = np.where(at_target, -rest / S, p_top)  # w_m (1 - p_m)
+        w_top[under] = 0.0  # p_i w_m of these rows is taken from log r below
         w -= p * (rest_w + w_top)[:, None]
+        if under.size:
+            w[under] -= np.exp(z_rest - log_rest[under, None]) / S[under, None]
         w[rows, top] = w_top_miss - p_top * rest_w
         w *= g
         return ((logits, w.reshape(logits.shape)),)
@@ -234,7 +254,7 @@ def total_loss(
     rows = [i for i, neg_ids in enumerate(negatives) if len(neg_ids)]
     if cfg.contrastive_weight != 0.0 and rows:
         k0 = caches.graph_k[0]
-        anchor = manifold.exp_o_rows(ad.reshape(result.readout[rows, 1:], (len(rows), 1, -1)), k0)
+        anchor = manifold.exp_o_rows(ad.reshape(result.readout_tangent[rows], (len(rows), 1, -1)), k0)
         # the positive and the negatives of each pair, mapped in one call
         ids = np.concatenate([targets[rows].reshape(-1, 1), np.stack([negatives[i] for i in rows])], axis=1)
         points = model.item_points(ids, k0)

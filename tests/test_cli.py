@@ -132,7 +132,7 @@ class TestTrain:
         assert model.hyper.dim == 6  # flag wins
         assert seed == 9  # file beats default
 
-    @pytest.mark.parametrize("key", ["frobnicate", "threads"])
+    @pytest.mark.parametrize("key", ["frobnicate", "threads", "data"])
     def test_unknown_config_key_aborts_before_output(self, tmp_path, corpus, capsys, key):
         conf = tmp_path / "bad.conf"
         conf.write_text(f"{key}=1\n", encoding="utf-8")

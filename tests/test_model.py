@@ -439,3 +439,26 @@ class TestSelfPairs:
                 # graph layers call exp_map_rows first, then the blocks' biases
                 for V in tangents[:2]:
                     assert np.all(V == 0.0), (seed, item)
+
+
+class TestTangentInterface:
+    @pytest.mark.parametrize("aggregator", ["multi_hop", "gat_last_layer", "gcn_mean"])
+    @pytest.mark.parametrize("layers, blocks", [(1, 1), (2, 2)])
+    def test_maps_onto_the_hyperboloid_only_where_points_are_needed(self, monkeypatch, aggregator, layers, blocks):
+        # stages hand on origin tangents: each graph layer maps its nodes once
+        # and takes its output back once, each block does so for its two biases
+        calls = {"exp_o_rows": 0, "log_o_rows": 0}
+        for name in calls:
+            fn = getattr(mf, name)
+
+            def counted(*args, _name=name, _fn=fn):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(mf, name, counted)
+        model = tiny_model(seed=31, graph_layers=layers, attention_blocks=blocks, aggregator=aggregator)
+        model.forward(model.batch([[0, 1, 2, 1], [3, 4]]))
+        assert calls == {"exp_o_rows": layers + 2 * blocks, "log_o_rows": layers + 2 * blocks}
+
+    def test_no_point_transfer_between_curvatures(self):
+        assert not hasattr(mf, "transfer_rows")

@@ -115,6 +115,36 @@ class TestCrossEntropy:
             assert np.all(np.isfinite(grad))
             np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9 * np.abs(fd).max())
 
+    def test_underflowing_rest_mass_wrong_prediction(self):
+        # exp(-800) underflows to 0, so the non-argmax mass r is exactly 0;
+        # the loss is -log p_1 - log(1 - p_0) - log(1 - p_2) = 800 + (800 - log 2)
+        loss, grad, fd = self._grad_and_central_differences([800.0, 0.0, 0.0], 1)
+        assert loss == pytest.approx(1600.0 - math.log(2.0), rel=1e-12)
+        assert np.all(np.isfinite(grad))
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+    def test_underflowing_rest_mass_right_prediction(self):
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            loss, grad, _ = self._grad_and_central_differences([800.0, 0.0, 0.0], 0)
+        assert loss == 0.0 and np.all(grad == 0.0)
+
+    def test_underflowing_row_leaves_other_rows_unchanged(self):
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(4, 6))
+        targets = np.array([1, 5, 3, 2])
+        z_mixed = z.copy()
+        z_mixed[2] = [900.0, 0.0, -5.0, 3.0, 0.0, 1.0]
+
+        def grad(x):
+            t = ad.Tensor(x, requires_grad=True)
+            tr.cross_entropy_loss(t, targets).backward()
+            return t.grad
+
+        g, g_mixed = grad(z), grad(z_mixed)
+        keep = [0, 1, 3]
+        assert g[keep].tobytes() == g_mixed[keep].tobytes()
+        assert np.all(np.isfinite(g_mixed))
+
 
 def _points_on_geodesic(k, *arc_lengths):
     """Points at the given arc lengths along one geodesic from the origin."""
