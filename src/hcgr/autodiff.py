@@ -641,7 +641,19 @@ def clamp(a, lo=None, hi=None) -> Tensor:
 
 
 def softplus(a) -> Tensor:
-    """log(1 + exp(a)), computed in overflow-safe form."""
+    """log(1 + exp(a)), computed in overflow-safe form as
+    max(a, 0) + log(1 + exp(-|a|)), as one node.
+
+    The gradient is the composition's, sigmoid(a), written out by hand with
+    sign(a) as the derivative of |a|; at a = 0 exactly it is 0, as it was
+    through the relus of that composition.
+    """
     a = as_tensor(a)
-    absval = add(relu(a), relu(neg(a)))
-    return add(relu(a), log(add(1.0, exp(neg(absval)))))
+    x = a.data
+    pos = np.maximum(x, 0.0)
+    e = np.exp(-(pos + np.maximum(-x, 0.0)))
+
+    def back(g):
+        return ((a, g * (x > 0) - (g / (1.0 + e)) * e * np.sign(x)),)
+
+    return _node(pos + np.log(1.0 + e), "softplus", (a,), back)

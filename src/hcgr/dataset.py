@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -89,15 +91,37 @@ def filter_sessions(
     min_session_len: int = 3,
     max_session_len: int = 50,
 ) -> list[list[int]]:
-    """Frequency/length filtering plus truncation, iterated to a fixed point."""
-    current = [list(s) for s in sessions]
+    """Frequency/length filtering plus truncation, iterated to a fixed point.
+
+    Each pass drops the clicks on items seen fewer than min_item_freq times,
+    then the sessions left shorter than min_session_len, then cuts each
+    session to ``s[-max_session_len:]``; passes repeat until one removes
+    nothing. The passes run over one flat array of all clicks.
+    """
+    n = len(sessions)
+    lengths = [len(s) for s in sessions]
+    flat = np.fromiter(chain.from_iterable(sessions), dtype=np.int64, count=sum(lengths))
+    _, codes = np.unique(flat, return_inverse=True)
+    owner = np.repeat(np.arange(n), lengths)  # session of each click, non-decreasing
+    alive = np.ones(n, dtype=bool)
+    m = max_session_len
     while True:
-        freq = Counter(item for s in current for item in s)
-        kept = [[v for v in s if freq[v] >= min_item_freq] for s in current]
-        kept = [s[-max_session_len:] for s in kept if len(s) >= min_session_len]
-        if kept == current:
-            return kept
-        current = kept
+        keep = np.bincount(codes)[codes] >= min_item_freq
+        now_alive = alive & (np.bincount(owner[keep], minlength=n) >= min_session_len)
+        keep &= now_alive[owner]
+        # truncation as the slice s[-m:]: keep the clicks from position
+        # len - m of their session on, or from -m when m <= 0
+        kept_owner = owner[keep]
+        counts = np.bincount(kept_owner, minlength=n)
+        starts = np.cumsum(counts) - counts
+        pos = np.arange(kept_owner.size) - starts[kept_owner]
+        keep[keep] = pos >= (counts[kept_owner] - m if m > 0 else -m)
+        if keep.all() and np.array_equal(now_alive, alive):
+            break
+        flat, codes, owner, alive = flat[keep], codes[keep], owner[keep], now_alive
+    clicks = flat.tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
+    return [clicks[a:b] for a, b, ok in zip([0] + ends[:-1], ends, alive.tolist()) if ok]
 
 
 def corpus_stats(sessions: list[list[int]]) -> dict:
@@ -234,15 +258,19 @@ def synth_hierarchical(n_items: int, n_sessions: int, seed: int) -> list[list[in
     n_general = max(2, round(n_items * GENERAL_TIER_FRACTION))
     n_cat = max(2, (n_items - n_general) // 8)
     bounds = np.linspace(n_general, n_items, n_cat + 1).astype(int)
-    general = np.arange(n_general)
-    members = [np.arange(bounds[c], bounds[c + 1]) for c in range(n_cat)]
 
-    def zipf(size: int) -> np.ndarray:
+    def zipf_cdf(size: int) -> list[float]:
         w = np.arange(1, size + 1, dtype=np.float64) ** -ZIPF_EXPONENT
-        return w / w.sum()
+        cdf = np.cumsum(w / w.sum())
+        return (cdf / cdf[-1]).tolist()
 
-    general_w = zipf(n_general)
-    item_w = [zipf(ids.size) for ids in members]
+    # rng.choice(ids, p=w) draws one rng.random() and finds it with
+    # searchsorted(side="right") in cumsum(w) / cumsum(w)[-1]; bisect_right
+    # on those CDFs makes the same draws and picks, without choice's
+    # per-call validation of w
+    general_cdf = zipf_cdf(n_general)
+    item_cdf = [zipf_cdf(int(size)) for size in np.diff(bounds)]
+    starts = bounds.tolist()
 
     sessions = []
     for _ in range(n_sessions):
@@ -255,10 +283,10 @@ def synth_hierarchical(n_items: int, n_sessions: int, seed: int) -> list[list[in
                 cat = int(rng.integers(n_cat - 1))
                 if cat >= home:
                     cat += 1
-                session.append(int(rng.choice(members[cat], p=item_w[cat])))
+                session.append(starts[cat] + bisect_right(item_cdf[cat], rng.random()))
             elif r < CROSS_CATEGORY_PROB + GENERAL_CLICK_PROB:
-                session.append(int(rng.choice(general, p=general_w)))
+                session.append(bisect_right(general_cdf, rng.random()))
             else:
-                session.append(int(rng.choice(members[home], p=item_w[home])))
+                session.append(starts[home] + bisect_right(item_cdf[home], rng.random()))
         sessions.append(session)
     return sessions

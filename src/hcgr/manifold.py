@@ -94,19 +94,6 @@ def rowwise_inner(X: Tensor, Y: Tensor) -> Tensor:
     return ad.primitive((flipped * Y.data).sum(axis=-1, keepdims=True), "rowwise_inner", (X, Y), back)
 
 
-def pairwise_inner(X: Tensor, Y: Tensor) -> Tensor:
-    """Lorentz inner products between all row pairs, shape (..., n, m)."""
-    return ad.matmul(ad.mul(X, ad.constant(_flip_mask(X.shape[-1]))), ad.transpose(Y))
-
-
-def project_rows(M: Tensor, k) -> Tensor:
-    """Repair rows onto the hyperboloid by recomputing the time coordinate."""
-    space = M[..., 1:]
-    sq = ad.tsum(ad.mul(space, space), axis=-1, keepdims=True)
-    time = ad.sqrt(ad.add(sq, k))
-    return ad.concat([time, space], axis=-1)
-
-
 def dist_rows(X: Tensor, Y: Tensor, k) -> Tensor:
     """Geodesic distance between paired rows, shape (..., n, 1)."""
     u = ad.clamp(ad.div(ad.neg(rowwise_inner(X, Y)), k), lo=1.0)
@@ -114,19 +101,53 @@ def dist_rows(X: Tensor, Y: Tensor, k) -> Tensor:
 
 
 def exp_map_rows(X: Tensor, V: Tensor, k) -> Tensor:
-    """Exponential map of tangent rows V at base rows X.
+    """Exponential map of tangent rows V at base rows X, as one autodiff node.
 
-    cosh(|v|/sqrt(k)) x + sqrt(k) sinh(|v|/sqrt(k)) v/|v|, with |v| floored so
-    the zero-vector limit returns x; the result is re-projected.
+    cosh(|v|/sqrt(k)) x + sqrt(k) sinh(|v|/sqrt(k)) v/|v|, with |v|^2 (a
+    Lorentz square) floored at MIN_SQ_NORM so the zero-vector limit returns
+    x. The result is repaired onto the hyperboloid by recomputing its time
+    coordinate as sqrt(|space|^2 + k), so the time coordinate of the sum is
+    never formed and x_0 gets no gradient. The backward pass is written out
+    by hand; the floor stops the norm's gradient, as a clamp would.
     """
-    sk = ad.sqrt(ad.as_tensor(k))
-    nrm = ad.sqrt(ad.clamp(rowwise_inner(V, V), lo=MIN_SQ_NORM))
-    arg = ad.div(nrm, sk)
-    out = ad.add(
-        ad.mul(X, ad.cosh(arg)),
-        ad.mul(V, ad.div(ad.mul(sk, ad.sinh(arg)), nrm)),
-    )
-    return project_rows(out, k)
+    X, V, k = ad.as_tensor(X), ad.as_tensor(V), ad.as_tensor(k)
+    sk = np.sqrt(k.data)
+    # (v * flip) * v, summed as rowwise_inner sums it: a sign flip is exact,
+    # so these are the squares of v with the time column negated
+    squares = V.data * V.data
+    squares[..., 0] = -squares[..., 0]
+    vv = squares.sum(axis=-1, keepdims=True)
+    nrm = np.sqrt(np.clip(vv, MIN_SQ_NORM, None))
+    arg = nrm / sk
+    cosh, sinh = np.cosh(arg), np.sinh(arg)
+    coef = (sk * sinh) / nrm
+    x_space, v_space = X.data[..., 1:], V.data[..., 1:]
+    out = np.empty(np.broadcast_shapes(X.shape, V.shape))
+    time, space = out[..., 0:1], out[..., 1:]
+    np.multiply(x_space, cosh, out=space)
+    space += v_space * coef
+    np.sqrt((space * space).sum(axis=-1, keepdims=True) + k.data, out=time)
+
+    def back(g):
+        g_sq = g[..., 0:1] / (2.0 * time)
+        g_space = space * (2.0 * g_sq)
+        g_space += g[..., 1:]
+        g_cosh = np.vecdot(g_space, x_space)[..., None]
+        g_coef = np.vecdot(g_space, v_space)[..., None]
+        g_arg = g_cosh * sinh + g_coef * (sk / nrm) * cosh
+        # coef = sqrt(k) sinh(a) / n with a = n / sqrt(k)
+        g_nrm = g_arg / sk - g_coef * coef / nrm
+        gV = V.data * ((g_nrm / nrm) * (vv >= MIN_SQ_NORM))
+        gV[..., 0] = -gV[..., 0]
+        gV[..., 1:] += g_space * coef
+        gX = np.empty(out.shape)
+        gX[..., 0] = 0.0
+        np.multiply(g_space, cosh, out=gX[..., 1:])
+        g_sk = np.vdot(g_coef, sinh / nrm) - np.vdot(g_arg, arg) / sk
+        g_k = g_sq.sum() + g_sk / (2.0 * sk)
+        return ((X, ad._unbroadcast(gX, X.shape)), (V, ad._unbroadcast(gV, V.shape)), (k, np.asarray(g_k)))
+
+    return ad.primitive(out, "exp_map_rows", (X, V, k), back)
 
 
 def log_map_rows(X: Tensor, Y: Tensor, k) -> Tensor:
@@ -140,6 +161,68 @@ def log_map_rows(X: Tensor, Y: Tensor, k) -> Tensor:
     u = ad.add(Y, ad.mul(X, ad.div(ip, k)))
     unorm = ad.sqrt(ad.clamp(rowwise_inner(u, u), lo=MIN_SQ_NORM))
     return ad.mul(u, ad.div(d, unorm))
+
+
+def weighted_log_rows(A: Tensor, X: Tensor, k) -> Tensor:
+    """Weighted sums of logarithms between the rows of one set of points, as
+    one autodiff node: row i is sum_{j != i} A_ij log_{x_i}(x_j).
+
+    X is (..., n, d+1) and A is (..., n, n). Through the Lorentz Gram matrix
+    G = <x_i, x_j>_L, log_{x_i}(x_j) = d_ij / |u_ij| (x_j + (G_ij / k) x_i)
+    with d_ij = sqrt(k) arcosh(max(-G_ij / k, 1)) and |u_ij|^2 = G_ij^2 / k - k
+    floored at MIN_SQ_NORM, so the sum is C X + diag(C G^T / k) X with
+    C = A * d / |u|. log_x(x) = 0, so the diagonal of C, a 0/0 that roundoff
+    sends to 0 or about 1, is zeroed. The backward pass is written out by
+    hand; each floor stops its argument's gradient, as a clamp would, and
+    arcosh's derivative is bounded as in ``ad.arcosh``.
+    """
+    A, X, k = ad.as_tensor(A), ad.as_tensor(X), ad.as_tensor(k)
+    x, a, kd = X.data, A.data, k.data
+    sk = np.sqrt(kd)
+    mask = _flip_mask(x.shape[-1])
+    xt = np.swapaxes(x, -1, -2)
+    # a batch's transpose is copied contiguous, as ad.transpose copies it, so
+    # matmul takes the same path and G has the bytes of the unfused chain
+    G = (x * mask) @ (xt if xt.ndim == 2 else xt.copy())
+    u = -G / kd
+    acosh = np.arccosh(np.clip(u, 1.0, None))
+    dist = sk * acosh
+    q = G * G / kd - kd
+    root = np.sqrt(np.clip(q, MIN_SQ_NORM, None))
+    inv = 1.0 / root
+    off_diag = 1.0 - np.eye(x.shape[-2])
+    C = a * dist * inv * off_diag
+    self_coef = (C * G).sum(axis=-1, keepdims=True) / kd
+
+    def back(g):
+        g_self = np.vecdot(g, x)[..., None] / kd
+        gX = np.swapaxes(C, -1, -2) @ g
+        gX += g * self_coef
+        g_C = g @ xt
+        g_C += g_self * G
+        g_C *= off_diag
+        g_Ca = g_C * a
+        g_dist = g_Ca * inv
+        # through u = -G / k into arcosh, its derivative bounded, and through
+        # q = G^2 / k - k into inv = q^(-1/2); each floor stops its gradient
+        uc = np.maximum(u, ad.ARCOSH_GRAD_FLOOR)
+        g_u = g_dist * sk / np.sqrt(uc * uc - 1.0) * (u >= 1.0)
+        g_q = g_Ca * dist / (-2.0 * root * root * root) * (q >= MIN_SQ_NORM)
+        g_G = g_self * C
+        g_G += (2.0 * g_q * G - g_u) / kd
+        gX += ((g_G + np.swapaxes(g_G, -1, -2)) @ x) * mask
+        # dq/dk = -(q + k) / k - 1
+        g_k = (
+            np.vdot(g_u, G) / (kd * kd)
+            - np.vdot(g_q, q) / kd
+            - 2.0 * g_q.sum()
+            - np.vdot(g_self, self_coef)
+            + np.vdot(g_dist, acosh) / (2.0 * sk)
+        )
+        g_A = g_C * dist * inv if A.requires_grad else None
+        return ((A, g_A), (X, gX), (k, np.asarray(g_k)))
+
+    return ad.primitive(C @ x + x * self_coef, "weighted_log_rows", (A, X, k), back)
 
 
 def exp_o_rows(V: Tensor, k) -> Tensor:
@@ -161,15 +244,18 @@ def exp_o_rows(V: Tensor, k) -> Tensor:
     arg = nrm / sk
     cosh, sinh = np.cosh(arg), np.sinh(arg)
     coef = (sk * sinh) / nrm
-    out = np.concatenate([sk * cosh, space * coef], axis=-1)
+    out = np.empty(space.shape[:-1] + (space.shape[-1] + 1,))
+    np.multiply(sk, cosh, out=out[..., 0:1])
+    np.multiply(space, coef, out=out[..., 1:])
 
     def back(g):
         g_time, g_space = g[..., 0:1], g[..., 1:]
-        g_coef = (g_space * space).sum(axis=-1, keepdims=True)
+        g_coef = np.vecdot(g_space, space)[..., None]
         # d time / d n = sinh a and d coef / d n = (cosh a - coef) / n; the
         # norm passes g_n s / n on to s, except under the floor
         g_nrm = g_time * sinh + g_coef * (cosh - coef) / nrm
-        gV = g_space * coef + space * ((g_nrm / nrm) * (sq >= MIN_SQ_NORM))
+        gV = g_space * coef
+        gV += space * ((g_nrm / nrm) * (sq >= MIN_SQ_NORM))
         # d time / d sqrt(k) = cosh a - a sinh a and
         # d coef / d sqrt(k) = (sinh a - a cosh a) / n
         g_sk = (g_time * (cosh - arg * sinh)).sum() + (g_coef * (sinh - arg * cosh) / nrm).sum()
@@ -179,13 +265,39 @@ def exp_o_rows(V: Tensor, k) -> Tensor:
 
 
 def log_o_rows(X: Tensor, k) -> Tensor:
-    """Logarithmic map at the origin: d-wide tangent rows of (d+1)-wide points."""
-    sk = ad.sqrt(ad.as_tensor(k))
-    x0 = X[..., 0:1]
-    d = ad.mul(sk, ad.arcosh(ad.clamp(ad.div(x0, sk), lo=1.0)))
-    space = X[..., 1:]
-    snorm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), lo=MIN_SQ_NORM))
-    return ad.mul(space, ad.div(d, snorm))
+    """Logarithmic map at the origin, as one autodiff node: d-wide tangent
+    rows of (d+1)-wide points.
+
+    A row (x_0, s) maps to c s with c = dist / n, where dist =
+    sqrt(k) arcosh(max(x_0 / sqrt(k), 1)) and n = sqrt(max(|s|^2,
+    MIN_SQ_NORM)). The backward pass is written out by hand; each floor
+    stops its argument's gradient, as a clamp would, and arcosh's derivative
+    is bounded as in ``ad.arcosh``.
+    """
+    X, k = ad.as_tensor(X), ad.as_tensor(k)
+    sk = np.sqrt(k.data)
+    x0, space = X.data[..., 0:1], X.data[..., 1:]
+    u = x0 / sk
+    acosh = np.arccosh(np.clip(u, 1.0, None))
+    dist = sk * acosh
+    sq = (space * space).sum(axis=-1, keepdims=True)
+    nrm = np.sqrt(np.clip(sq, MIN_SQ_NORM, None))
+    coef = dist / nrm
+
+    def back(g):
+        g_coef = np.vecdot(g, space)[..., None]
+        g_dist = g_coef / nrm
+        uc = np.maximum(u, ad.ARCOSH_GRAD_FLOOR)
+        g_u = (g_dist * sk / np.sqrt(uc * uc - 1.0)) * (u >= 1.0)
+        g_nrm = -g_coef * coef / nrm
+        gX = np.empty(X.shape)
+        gX[..., 0:1] = g_u / sk
+        np.multiply(g, coef, out=gX[..., 1:])
+        gX[..., 1:] += space * ((g_nrm / nrm) * (sq >= MIN_SQ_NORM))
+        g_sk = np.vdot(g_dist, acosh) - np.vdot(g_u, u) / sk
+        return ((X, gX), (k, np.asarray(g_sk / (2.0 * sk))))
+
+    return ad.primitive(space * coef, "log_o_rows", (X, k), back)
 
 
 def transport_rows(X: Tensor, Y: Tensor, V: Tensor, k) -> Tensor:
@@ -211,12 +323,40 @@ def transport_from_o_rows(Y: Tensor, B: Tensor, k) -> Tensor:
     PT_{o->y}(b) = b + <y,b>_L / (k + sqrt(k) y_0) (o + y), the same operator
     as the generic formula without the 0/0 guards; the denominator is at
     least 2k on the upper sheet. b's time coordinate is 0, so <y,b>_L is the
-    dot product of y's space block with b.
+    dot product of y's space block with b. One autodiff node, with the
+    backward pass written out by hand.
     """
-    sk = ad.sqrt(ad.as_tensor(k))
-    y0, space = Y[..., 0:1], Y[..., 1:]
-    coef = ad.div(ad.tsum(ad.mul(space, B), axis=-1, keepdims=True), ad.add(ad.mul(sk, y0), k))
-    return ad.concat([ad.mul(ad.add(y0, sk), coef), ad.add(B, ad.mul(space, coef))], axis=-1)
+    Y, B, k = ad.as_tensor(Y), ad.as_tensor(B), ad.as_tensor(k)
+    sk = np.sqrt(k.data)
+    y0, space, b = Y.data[..., 0:1], Y.data[..., 1:], B.data
+    num = (space * b).sum(axis=-1, keepdims=True)
+    den = sk * y0 + k.data
+    coef = num / den
+    shape = np.broadcast_shapes(space.shape, b.shape)
+    out = np.empty(shape[:-1] + (shape[-1] + 1,))
+    np.multiply(y0 + sk, coef, out=out[..., 0:1])
+    np.multiply(space, coef, out=out[..., 1:])
+    out[..., 1:] += b
+
+    def back(g):
+        g_time, g_space = g[..., 0:1], g[..., 1:]
+        g_coef = g_time * (y0 + sk) + np.vecdot(g_space, space)[..., None]
+        g_num = g_coef / den
+        g_den = -g_coef * coef / den
+        gY = np.empty(Y.shape)
+        gY[..., 0:1] = g_time * coef + g_den * sk
+        np.multiply(g_space, coef, out=gY[..., 1:])
+        gY[..., 1:] += g_num * b
+        if b.ndim == 1:  # one bias for every row: sum g_num s over the rows in one product
+            lead = range(g_num.ndim - 1)
+            g_b = np.tensordot(g_num, space, axes=(lead, lead))[0]
+        else:
+            g_b = ad._unbroadcast(g_num * space, B.shape)
+        gB = ad._unbroadcast(g_space, B.shape) + g_b
+        g_sk = np.vdot(g_time, coef) + np.vdot(g_den, y0)
+        return ((Y, gY), (B, gB), (k, np.asarray(g_den.sum() + g_sk / (2.0 * sk))))
+
+    return ad.primitive(out, "transport_from_o_rows", (Y, B, k), back)
 
 
 def hyp_matmul_rows(X: Tensor, W: Tensor, k) -> Tensor:

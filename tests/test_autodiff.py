@@ -181,6 +181,7 @@ class TestPrimitiveGradients:
 
     def test_softplus(self):
         check_grad(ad.softplus, np.array([[-30.0, -1.0, 0.5, 35.0]]), tol=1e-4)
+        check_grad(ad.softplus, A234)
 
 
 class TestValues:

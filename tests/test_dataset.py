@@ -1,7 +1,56 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from hcgr import dataset as dm
+
+
+def filter_sessions_reference(sessions, min_item_freq=3, min_session_len=3, max_session_len=50):
+    """filter_sessions as the list-based loop it replaced."""
+    current = [list(s) for s in sessions]
+    while True:
+        freq = Counter(item for s in current for item in s)
+        kept = [[v for v in s if freq[v] >= min_item_freq] for s in current]
+        kept = [s[-max_session_len:] for s in kept if len(s) >= min_session_len]
+        if kept == current:
+            return kept
+        current = kept
+
+
+def synth_hierarchical_reference(n_items, n_sessions, seed):
+    """synth_hierarchical as the rng.choice loop it replaced."""
+    rng = np.random.default_rng(seed)
+    n_general = max(2, round(n_items * dm.GENERAL_TIER_FRACTION))
+    n_cat = max(2, (n_items - n_general) // 8)
+    bounds = np.linspace(n_general, n_items, n_cat + 1).astype(int)
+    general = np.arange(n_general)
+    members = [np.arange(bounds[c], bounds[c + 1]) for c in range(n_cat)]
+
+    def zipf(size):
+        w = np.arange(1, size + 1, dtype=np.float64) ** -dm.ZIPF_EXPONENT
+        return w / w.sum()
+
+    general_w = zipf(n_general)
+    item_w = [zipf(ids.size) for ids in members]
+    sessions = []
+    for _ in range(n_sessions):
+        home = int(rng.integers(n_cat))
+        length = 3 + int(min(rng.geometric(0.18) - 1, 47))
+        session = []
+        for _ in range(length):
+            r = rng.random()
+            if r < dm.CROSS_CATEGORY_PROB and n_cat > 1:
+                cat = int(rng.integers(n_cat - 1))
+                if cat >= home:
+                    cat += 1
+                session.append(int(rng.choice(members[cat], p=item_w[cat])))
+            elif r < dm.CROSS_CATEGORY_PROB + dm.GENERAL_CLICK_PROB:
+                session.append(int(rng.choice(general, p=general_w)))
+            else:
+                session.append(int(rng.choice(members[home], p=item_w[home])))
+        sessions.append(session)
+    return sessions
 
 
 @pytest.fixture
@@ -74,6 +123,30 @@ class TestFilter:
             ]
             once = dm.filter_sessions(sessions)
             assert dm.filter_sessions(once) == once
+
+    def test_equals_list_loop_on_random_corpora(self):
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            sessions = [
+                rng.integers(0, rng.integers(1, 30), size=rng.integers(0, 15)).tolist()
+                for _ in range(rng.integers(0, 40))
+            ]
+            args = (int(rng.integers(0, 5)), int(rng.integers(0, 5)), int(rng.integers(-2, 12)))
+            assert dm.filter_sessions(sessions, *args) == filter_sessions_reference(sessions, *args), args
+
+    def test_session_dropped_only_after_an_earlier_pass(self):
+        # pass 1 drops the rare item 9 and with it [9, 5, 9, 6]; that leaves
+        # items 5 and 6 two clicks each, so pass 2 cuts [5, 6, 7, 1] and
+        # [5, 6, 7, 7] to two clicks and drops them
+        sessions = [[1, 2, 3], [1, 2, 3], [1, 2, 3], [9, 5, 9, 6], [5, 6, 7, 1], [5, 6, 7, 7]]
+        out = dm.filter_sessions(sessions)
+        assert out == filter_sessions_reference(sessions)
+        assert out == [[1, 2, 3], [1, 2, 3], [1, 2, 3]]
+
+    def test_equals_list_loop_on_synthetic_corpus(self):
+        sessions = dm.synth_hierarchical(100, 2000, seed=7)
+        assert dm.filter_sessions(sessions) == filter_sessions_reference(sessions)
+        assert dm.filter_sessions(sessions, 5, 4, 6) == filter_sessions_reference(sessions, 5, 4, 6)
 
 
 class TestPreprocess:
@@ -152,6 +225,11 @@ class TestSynth:
                 counts[v] += 1
         top_decile = np.sort(counts)[::-1][:10].sum() / counts.sum()
         assert top_decile > 0.5
+
+    @pytest.mark.parametrize("n_items, n_sessions", [(10, 300), (37, 200), (100, 2000), (1000, 300)])
+    @pytest.mark.parametrize("seed", [1, 7, 13])
+    def test_equals_rng_choice_loop(self, n_items, n_sessions, seed):
+        assert dm.synth_hierarchical(n_items, n_sessions, seed) == synth_hierarchical_reference(n_items, n_sessions, seed)
 
     def test_too_few_items_rejected(self):
         with pytest.raises(ValueError):

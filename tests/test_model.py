@@ -8,6 +8,7 @@ import pytest
 from hcgr import autodiff as ad
 from hcgr import manifold as mf
 from hcgr.model import (
+    AGGREGATORS,
     MASK_LOGIT,
     CheckpointError,
     HCGRModel,
@@ -15,6 +16,7 @@ from hcgr.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from hcgr.session_graph import neighborhood
 
 import oracle
 
@@ -417,6 +419,40 @@ class TestBatchForward:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             self._model().batch([])
+
+    @staticmethod
+    def _batch_reference(model, graphs):
+        """node_ids, bias, key_mask and last of HCGRModel.batch, built node by
+        node from neighborhood() as before the edge arrays."""
+        n_max = max(len(g.nodes) for g in graphs)
+        uniform = model.hyper.aggregator == "gcn_mean"
+        node_ids = np.zeros((len(graphs), n_max), dtype=np.intp)
+        bias = np.full((len(graphs), n_max, n_max), MASK_LOGIT)
+        key_mask = np.zeros((len(graphs), 1, n_max))
+        for b, g in enumerate(graphs):
+            n = len(g.nodes)
+            node_ids[b, :n] = g.nodes
+            for i in range(n):
+                for j, w in neighborhood(g, i):
+                    bias[b, i, j] = 0.0 if uniform else math.log(w)
+            pad = np.arange(n, n_max)
+            bias[b, pad, pad] = 0.0
+            key_mask[b, 0, n:] = MASK_LOGIT
+        last = np.array([g.position_of_last for g in graphs], dtype=np.intp)
+        return node_ids, bias, key_mask, last
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    def test_batch_arrays_byte_equal_neighborhood_build(self, aggregator):
+        model = self._model(aggregator)
+        rng = np.random.default_rng(32)
+        # repeats, immediate self-loops and sessions beyond max_session_len (12)
+        batches = [self.SESSIONS, [[4, 4, 4], [1, 2, 1, 2, 1, 2, 2]]]
+        batches += [[rng.integers(0, 9, size=rng.integers(1, 30)).tolist() for _ in range(5)] for _ in range(40)]
+        for sessions in batches:
+            sb = model.batch(sessions)
+            got = (sb.node_ids, sb.bias, sb.key_mask, sb.last)
+            for name, a, r in zip(("node_ids", "bias", "key_mask", "last"), got, self._batch_reference(model, sb.graphs)):
+                assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes(), (name, sessions)
 
 
 class TestSelfPairs:

@@ -286,6 +286,16 @@ class TestTotalLoss:
             counts.append(_count_nodes(tr.total_loss(model, batch, negs, cfg)))
         assert counts[0] == counts[1] == counts[2], counts
 
+    def test_desk_batch_node_count(self):
+        # each manifold map and the graph-attention aggregation is one node
+        ds = preprocess(synth_hierarchical(100, 2000, seed=7), [f"i{v}" for v in range(100)], seed=7)
+        batch = ds.train[:32]
+        model = HCGRModel.create(HyperParams(dim=16), ds.n_items, seed=7)
+        cfg = tr.TrainConfig(batch_size=32, contrastive_weight=0.5, negatives=2, margin=1.0, l2=0.0)
+        rng = np.random.default_rng(7)
+        negs = [tr.draw_negatives(rng, s, t, ds.n_items, 2) for s, t in batch]
+        assert _count_nodes(tr.total_loss(model, batch, negs, cfg)) <= 90
+
     def test_every_parameter_entry_gets_a_gradient(self):
         """Each entry of each parameter reaches the loss: with the L2 term
         off, none has an exactly zero gradient."""
