@@ -62,8 +62,8 @@ def composed_softplus(a):
     return ad.add(ad.relu(a), ad.log(ad.add(1.0, ad.exp(ad.neg(absval)))))
 
 
-def _points(rng, lead, k, scale=1.0):
-    return mf.exp_o_rows(ad.constant(scale * rng.normal(size=lead + (D,))), k).data
+def _points(rng, lead, k):
+    return mf.exp_o_rows(ad.constant(rng.normal(size=lead + (D,))), k).data
 
 
 def _tangents_at(rng, X, k):
@@ -196,7 +196,7 @@ class TestFusedSoftplus:
 
     @pytest.mark.parametrize("shape", [(), (7,), (7, 1), (1, 7, 1)])
     def test_forward_bytes_and_gradients_equal_composed_chain(self, shape):
-        x = self.VALUES[3 if shape == () else slice(None)].reshape(shape)
+        x = self.VALUES[4 if shape == () else slice(None)].reshape(shape)
         assert ad.softplus(ad.constant(x)).data.tobytes() == composed_softplus(ad.constant(x)).data.tobytes()
         W = np.linspace(-1.0, 2.0, x.size).reshape(shape)
         [gf], [gc] = _grads(ad.softplus, [x], W), _grads(composed_softplus, [x], W)
