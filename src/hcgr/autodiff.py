@@ -644,9 +644,8 @@ def softplus(a) -> Tensor:
     """log(1 + exp(a)), computed in overflow-safe form as
     max(a, 0) + log(1 + exp(-|a|)), as one node.
 
-    The gradient is the composition's, sigmoid(a), written out by hand with
-    sign(a) as the derivative of |a|; at a = 0 exactly it is 0, as it was
-    through the relus of that composition.
+    The gradient is sigmoid(a), 1 / (1 + e) for a >= 0 and e / (1 + e) for
+    a < 0 with e = exp(-|a|), so it never overflows and is 1/2 at a = 0.
     """
     a = as_tensor(a)
     x = a.data
@@ -654,6 +653,6 @@ def softplus(a) -> Tensor:
     e = np.exp(-(pos + np.maximum(-x, 0.0)))
 
     def back(g):
-        return ((a, g * (x > 0) - (g / (1.0 + e)) * e * np.sign(x)),)
+        return ((a, g * np.where(x >= 0, 1.0, e) / (1.0 + e)),)
 
     return _node(pos + np.log(1.0 + e), "softplus", (a,), back)

@@ -112,42 +112,33 @@ def exp_map_rows(X: Tensor, V: Tensor, k) -> Tensor:
     """
     X, V, k = ad.as_tensor(X), ad.as_tensor(V), ad.as_tensor(k)
     sk = np.sqrt(k.data)
-    # (v * flip) * v, summed as rowwise_inner sums it: a sign flip is exact,
-    # so these are the squares of v with the time column negated
-    squares = V.data * V.data
-    squares[..., 0] = -squares[..., 0]
-    vv = squares.sum(axis=-1, keepdims=True)
+    flipped = V.data * _flip_mask(V.shape[-1])
+    vv = (flipped * V.data).sum(axis=-1, keepdims=True)
     nrm = np.sqrt(np.clip(vv, MIN_SQ_NORM, None))
     arg = nrm / sk
     cosh, sinh = np.cosh(arg), np.sinh(arg)
     coef = (sk * sinh) / nrm
     x_space, v_space = X.data[..., 1:], V.data[..., 1:]
-    out = np.empty(np.broadcast_shapes(X.shape, V.shape))
-    time, space = out[..., 0:1], out[..., 1:]
-    np.multiply(x_space, cosh, out=space)
-    space += v_space * coef
-    np.sqrt((space * space).sum(axis=-1, keepdims=True) + k.data, out=time)
+    space = x_space * cosh + v_space * coef
+    time = np.sqrt((space * space).sum(axis=-1, keepdims=True) + k.data)
 
     def back(g):
         g_sq = g[..., 0:1] / (2.0 * time)
-        g_space = space * (2.0 * g_sq)
-        g_space += g[..., 1:]
-        g_cosh = np.vecdot(g_space, x_space)[..., None]
-        g_coef = np.vecdot(g_space, v_space)[..., None]
+        g_space = g[..., 1:] + 2.0 * space * g_sq
+        g_cosh = (g_space * x_space).sum(axis=-1, keepdims=True)
+        g_coef = (g_space * v_space).sum(axis=-1, keepdims=True)
         g_arg = g_cosh * sinh + g_coef * (sk / nrm) * cosh
         # coef = sqrt(k) sinh(a) / n with a = n / sqrt(k)
         g_nrm = g_arg / sk - g_coef * coef / nrm
-        gV = V.data * ((g_nrm / nrm) * (vv >= MIN_SQ_NORM))
-        gV[..., 0] = -gV[..., 0]
+        gV = flipped * ((g_nrm / nrm) * (vv >= MIN_SQ_NORM))
         gV[..., 1:] += g_space * coef
-        gX = np.empty(out.shape)
-        gX[..., 0] = 0.0
-        np.multiply(g_space, cosh, out=gX[..., 1:])
-        g_sk = np.vdot(g_coef, sinh / nrm) - np.vdot(g_arg, arg) / sk
+        gX = np.zeros(X.shape)
+        gX[..., 1:] = ad._unbroadcast(g_space * cosh, x_space.shape)
+        g_sk = (g_coef * sinh / nrm).sum() - (g_arg * arg).sum() / sk
         g_k = g_sq.sum() + g_sk / (2.0 * sk)
-        return ((X, ad._unbroadcast(gX, X.shape)), (V, ad._unbroadcast(gV, V.shape)), (k, np.asarray(g_k)))
+        return ((X, gX), (V, ad._unbroadcast(gV, V.shape)), (k, np.asarray(g_k)))
 
-    return ad.primitive(out, "exp_map_rows", (X, V, k), back)
+    return ad.primitive(np.concatenate([time, space], axis=-1), "exp_map_rows", (X, V, k), back)
 
 
 def log_map_rows(X: Tensor, Y: Tensor, k) -> Tensor:
@@ -195,32 +186,24 @@ def weighted_log_rows(A: Tensor, X: Tensor, k) -> Tensor:
     self_coef = (C * G).sum(axis=-1, keepdims=True) / kd
 
     def back(g):
-        g_self = np.vecdot(g, x)[..., None] / kd
-        gX = np.swapaxes(C, -1, -2) @ g
-        gX += g * self_coef
-        g_C = g @ xt
-        g_C += g_self * G
-        g_C *= off_diag
-        g_Ca = g_C * a
-        g_dist = g_Ca * inv
-        # through u = -G / k into arcosh, its derivative bounded, and through
-        # q = G^2 / k - k into inv = q^(-1/2); each floor stops its gradient
+        g_self = (g * x).sum(axis=-1, keepdims=True)
+        gX = np.swapaxes(C, -1, -2) @ g + g * self_coef
+        g_C = (g @ xt + (g_self / kd) * G) * off_diag
+        g_G = (g_self / kd) * C
+        g_dist = g_C * a * inv
+        g_inv = g_C * a * dist
         uc = np.maximum(u, ad.ARCOSH_GRAD_FLOOR)
-        g_u = g_dist * sk / np.sqrt(uc * uc - 1.0) * (u >= 1.0)
-        g_q = g_Ca * dist / (-2.0 * root * root * root) * (q >= MIN_SQ_NORM)
-        g_G = g_self * C
-        g_G += (2.0 * g_q * G - g_u) / kd
+        g_u = (g_dist * sk / np.sqrt(uc * uc - 1.0)) * (u >= 1.0)
+        g_q = (-g_inv / (root * root) / (2.0 * root)) * (q >= MIN_SQ_NORM)
+        g_G += g_q * (2.0 * G / kd) - g_u / kd
         gX += ((g_G + np.swapaxes(g_G, -1, -2)) @ x) * mask
-        # dq/dk = -(q + k) / k - 1
         g_k = (
-            np.vdot(g_u, G) / (kd * kd)
-            - np.vdot(g_q, q) / kd
-            - 2.0 * g_q.sum()
-            - np.vdot(g_self, self_coef)
-            + np.vdot(g_dist, acosh) / (2.0 * sk)
+            (g_u * G).sum() / (kd * kd)
+            - (g_q * (G * G / (kd * kd) + 1.0)).sum()
+            - (g_self * self_coef).sum() / kd
+            + (g_dist * acosh).sum() / (2.0 * sk)
         )
-        g_A = g_C * dist * inv if A.requires_grad else None
-        return ((A, g_A), (X, gX), (k, np.asarray(g_k)))
+        return ((A, g_C * dist * inv), (X, gX), (k, np.asarray(g_k)))
 
     return ad.primitive(C @ x + x * self_coef, "weighted_log_rows", (A, X, k), back)
 
@@ -244,18 +227,15 @@ def exp_o_rows(V: Tensor, k) -> Tensor:
     arg = nrm / sk
     cosh, sinh = np.cosh(arg), np.sinh(arg)
     coef = (sk * sinh) / nrm
-    out = np.empty(space.shape[:-1] + (space.shape[-1] + 1,))
-    np.multiply(sk, cosh, out=out[..., 0:1])
-    np.multiply(space, coef, out=out[..., 1:])
+    out = np.concatenate([sk * cosh, space * coef], axis=-1)
 
     def back(g):
         g_time, g_space = g[..., 0:1], g[..., 1:]
-        g_coef = np.vecdot(g_space, space)[..., None]
+        g_coef = (g_space * space).sum(axis=-1, keepdims=True)
         # d time / d n = sinh a and d coef / d n = (cosh a - coef) / n; the
         # norm passes g_n s / n on to s, except under the floor
         g_nrm = g_time * sinh + g_coef * (cosh - coef) / nrm
-        gV = g_space * coef
-        gV += space * ((g_nrm / nrm) * (sq >= MIN_SQ_NORM))
+        gV = g_space * coef + space * ((g_nrm / nrm) * (sq >= MIN_SQ_NORM))
         # d time / d sqrt(k) = cosh a - a sinh a and
         # d coef / d sqrt(k) = (sinh a - a cosh a) / n
         g_sk = (g_time * (cosh - arg * sinh)).sum() + (g_coef * (sinh - arg * cosh) / nrm).sum()
@@ -285,16 +265,15 @@ def log_o_rows(X: Tensor, k) -> Tensor:
     coef = dist / nrm
 
     def back(g):
-        g_coef = np.vecdot(g, space)[..., None]
+        g_coef = (g * space).sum(axis=-1, keepdims=True)
         g_dist = g_coef / nrm
         uc = np.maximum(u, ad.ARCOSH_GRAD_FLOOR)
         g_u = (g_dist * sk / np.sqrt(uc * uc - 1.0)) * (u >= 1.0)
         g_nrm = -g_coef * coef / nrm
         gX = np.empty(X.shape)
         gX[..., 0:1] = g_u / sk
-        np.multiply(g, coef, out=gX[..., 1:])
-        gX[..., 1:] += space * ((g_nrm / nrm) * (sq >= MIN_SQ_NORM))
-        g_sk = np.vdot(g_dist, acosh) - np.vdot(g_u, u) / sk
+        gX[..., 1:] = g * coef + space * ((g_nrm / nrm) * (sq >= MIN_SQ_NORM))
+        g_sk = (g_dist * acosh).sum() - (g_u * u).sum() / sk
         return ((X, gX), (k, np.asarray(g_sk / (2.0 * sk))))
 
     return ad.primitive(space * coef, "log_o_rows", (X, k), back)
@@ -332,28 +311,18 @@ def transport_from_o_rows(Y: Tensor, B: Tensor, k) -> Tensor:
     num = (space * b).sum(axis=-1, keepdims=True)
     den = sk * y0 + k.data
     coef = num / den
-    shape = np.broadcast_shapes(space.shape, b.shape)
-    out = np.empty(shape[:-1] + (shape[-1] + 1,))
-    np.multiply(y0 + sk, coef, out=out[..., 0:1])
-    np.multiply(space, coef, out=out[..., 1:])
-    out[..., 1:] += b
+    out = np.concatenate([(y0 + sk) * coef, b + space * coef], axis=-1)
 
     def back(g):
         g_time, g_space = g[..., 0:1], g[..., 1:]
-        g_coef = g_time * (y0 + sk) + np.vecdot(g_space, space)[..., None]
+        g_coef = g_time * (y0 + sk) + (g_space * space).sum(axis=-1, keepdims=True)
         g_num = g_coef / den
         g_den = -g_coef * coef / den
         gY = np.empty(Y.shape)
         gY[..., 0:1] = g_time * coef + g_den * sk
-        np.multiply(g_space, coef, out=gY[..., 1:])
-        gY[..., 1:] += g_num * b
-        if b.ndim == 1:  # one bias for every row: sum g_num s over the rows in one product
-            lead = range(g_num.ndim - 1)
-            g_b = np.tensordot(g_num, space, axes=(lead, lead))[0]
-        else:
-            g_b = ad._unbroadcast(g_num * space, B.shape)
-        gB = ad._unbroadcast(g_space, B.shape) + g_b
-        g_sk = np.vdot(g_time, coef) + np.vdot(g_den, y0)
+        gY[..., 1:] = g_space * coef + g_num * b
+        gB = ad._unbroadcast(g_space + g_num * space, B.shape)
+        g_sk = (g_time * coef).sum() + (g_den * y0).sum()
         return ((Y, gY), (B, gB), (k, np.asarray(g_den.sum() + g_sk / (2.0 * sk))))
 
     return ad.primitive(out, "transport_from_o_rows", (Y, B, k), back)

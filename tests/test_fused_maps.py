@@ -200,7 +200,11 @@ class TestFusedSoftplus:
         assert ad.softplus(ad.constant(x)).data.tobytes() == composed_softplus(ad.constant(x)).data.tobytes()
         W = np.linspace(-1.0, 2.0, x.size).reshape(shape)
         [gf], [gc] = _grads(ad.softplus, [x], W), _grads(composed_softplus, [x], W)
-        assert np.abs(gf - gc).max() <= 1e-15 * np.abs(gc).max()
+        # the chain's relus give 0 at a = 0 exactly, where the derivative is 1/2;
+        # everywhere else both are W sigmoid(a)
+        off_zero = x != 0.0
+        assert np.abs(gf - gc)[off_zero].max(initial=0.0) <= 1e-15 * np.abs(gc).max()
+        assert np.abs(gf - W / (1.0 + np.exp(-x))).max() <= 1e-15 * np.abs(W).max()
 
     def test_curvature_is_two_nodes(self):
         raw = ad.Tensor(np.array(0.3), requires_grad=True)
