@@ -212,6 +212,8 @@ def cmd_eval(args) -> int:
         ks = tuple(sorted(int(k) for k in args.ks.split(",")))
     except ValueError as exc:
         raise UsageError(f"bad --ks value {args.ks!r}") from exc
+    if len(set(ks)) < len(ks) or ks[0] < 1 or ks[-1] > model.catalog_size:
+        raise UsageError(f"--ks {args.ks!r} needs distinct cutoffs in [1, {model.catalog_size}]")
     if not ds.test:
         raise UsageError("test split is empty")
     result = metrics.evaluate(model, ds.test, ks=ks)

@@ -3,11 +3,13 @@
 Ranking is deterministic: items are ordered by descending score with ties
 broken by ascending item id. The target is a single item, so NDCG reduces to
 1/log2(rank+1) (the ideal DCG is 1) and MRR to the reciprocal rank, both
-zeroed when the target falls outside the cutoff.
+zeroed when the target falls outside the cutoff. Evaluation needs only that
+rank, so it counts it from the score row instead of sorting the catalog.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,13 +46,21 @@ def ranked_items(scores: np.ndarray) -> np.ndarray:
 
 
 def target_rank(ranked, target: int) -> int:
-    """1-based position of the target item in a ranked array or list.
+    """1-based rank of the target item, from a ranking or from a score row.
 
-    An array, such as a whole-catalog ranking, is compared in one numpy
-    call; a list takes list.index, because converting a short list to an
-    array costs more than scanning it.
+    A float array is a score row over the whole catalog, and the rank is
+    counted, not sorted: 1 + #{i : y_i > y_t} + #{i < t : y_i = y_t}, the
+    target's position in ``ranked_items(row)``, ties and signed zeros
+    included. Any other array, such as an id ranking, is searched in one
+    numpy call; a list takes list.index, because converting a short list to
+    an array costs more than scanning it.
     """
     if isinstance(ranked, np.ndarray):
+        if ranked.dtype.kind == "f":
+            if not 0 <= target < ranked.shape[0]:
+                raise ValueError(f"target {target} outside a score row of {ranked.shape[0]} items")
+            y_t = ranked[target]
+            return 1 + int(np.count_nonzero(ranked[:target] >= y_t)) + int(np.count_nonzero(ranked[target + 1 :] > y_t))
         hits = np.flatnonzero(ranked == target)
         if hits.size:
             return int(hits[0]) + 1
@@ -88,18 +98,23 @@ def evaluate(model, pairs, ks=(10, 20)) -> RankingMetrics:
     """Mean HitRate/NDCG/MRR at each cutoff over (prefix, target) pairs.
 
     Scores come from batched forward passes over chunks of EVAL_CHUNK pairs
-    with a shared read-only cache; each pair is then ranked on its own.
+    with a shared read-only cache. Each pair's rank is counted from its score
+    row by ``target_rank``; the catalog is never sorted. A cutoff below 1
+    raises ValueError. A cutoff of at least the catalog size is allowed: the
+    rank never exceeds it, so HR there is 1.
     """
     if not pairs:
         raise ValueError("evaluate: empty split")
     ks = tuple(sorted(ks))
+    if ks and ks[0] < 1:
+        raise ValueError(f"evaluate: cutoff {ks[0]} below 1")
     ranks = []
     with ad.no_grad():
         caches = model.caches()
         for start in range(0, len(pairs), EVAL_CHUNK):
             chunk = pairs[start : start + EVAL_CHUNK]
             yhat = model.forward(model.batch([prefix for prefix, _ in chunk]), caches=caches).yhat.data
-            ranks.extend(target_rank(ranked_items(row), target) for row, (_, target) in zip(yhat, chunk))
+            ranks.extend(target_rank(row, target) for row, (_, target) in zip(yhat, chunk))
 
     hr = {k: 0.0 for k in ks}
     ndcg = {k: 0.0 for k in ks}
@@ -124,13 +139,16 @@ def evaluate(model, pairs, ks=(10, 20)) -> RankingMetrics:
 
 
 def interaction_counts(pairs, catalog_size: int) -> np.ndarray:
-    """How often each item occurs across the given pairs (prefixes + targets)."""
-    counts = np.zeros(catalog_size, dtype=np.int64)
-    for prefix, target in pairs:
-        for item in prefix:
-            counts[item] += 1
-        counts[target] += 1
-    return counts
+    """How often each item occurs across the given pairs (prefixes + targets).
+
+    An id outside [0, catalog_size) raises ValueError.
+    """
+    ids = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain(prefix, (target,)) for prefix, target in pairs), dtype=np.int64
+    )
+    if ids.size and (ids.min() < 0 or ids.max() >= catalog_size):
+        raise ValueError(f"item ids must lie in [0, {catalog_size})")
+    return np.bincount(ids, minlength=catalog_size)
 
 
 def popularity_ranking(pairs, catalog_size: int) -> np.ndarray:

@@ -171,6 +171,21 @@ class TestEval:
             for v in row[2:5]:
                 assert 0.0 <= float(v) <= 1.0
 
+    @pytest.mark.parametrize("ks", ["10,10", "0,10", "-1", "10,41", "ten", ""])
+    def test_bad_or_repeated_ks_exits_2(self, tmp_path, corpus, checkpoint, capsys, ks):
+        out = tmp_path / "m.csv"
+        assert run("eval", "--data", corpus, "--checkpoint", checkpoint, "--ks", ks, "--out", str(out)) == 2
+        assert "--ks" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ks_up_to_catalog_size(self, tmp_path, corpus, checkpoint):
+        out = str(tmp_path / "m.csv")
+        n_items = load_checkpoint(checkpoint)[0].catalog_size
+        assert run("eval", "--data", corpus, "--checkpoint", checkpoint, "--ks", f"{n_items},1", "--out", out) == 0
+        rows = list(csv.reader(open(out, encoding="utf-8")))[1:]
+        assert [r[1] for r in rows] == ["1", str(n_items)]
+        assert rows[1][2] == "1.0"
+
     def test_bad_checkpoint_exits_2(self, tmp_path, corpus):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "other"}', encoding="utf-8")

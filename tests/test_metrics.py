@@ -1,16 +1,61 @@
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from hcgr import autodiff as ad
 from hcgr import metrics as mt
+from hcgr.dataset import preprocess, synth_hierarchical
+from hcgr.model import HCGRModel, HyperParams
+from hcgr.training import TrainConfig, fit
 
 
 def brute_force_rank(scores, target):
     """Position of target when items are sorted by (-score, id), via full sort."""
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return order.index(target) + 1
+
+
+def sorted_evaluate(model, pairs, ks):
+    """Reference evaluate: rank each pair by sorting the whole catalog."""
+    ks = tuple(sorted(ks))
+    ranks = []
+    with ad.no_grad():
+        caches = model.caches()
+        for start in range(0, len(pairs), mt.EVAL_CHUNK):
+            chunk = pairs[start : start + mt.EVAL_CHUNK]
+            yhat = model.forward(model.batch([prefix for prefix, _ in chunk]), caches=caches).yhat.data
+            ranks.extend(mt.target_rank(mt.ranked_items(row), target) for row, (_, target) in zip(yhat, chunk))
+    hr = {k: 0.0 for k in ks}
+    ndcg = {k: 0.0 for k in ks}
+    mrr = {k: 0.0 for k in ks}
+    for rank in ranks:
+        for k in ks:
+            if rank <= k:
+                hr[k] += 1.0
+                ndcg[k] += float(1.0 / np.log2(rank + 1.0))
+                mrr[k] += 1.0 / rank
+    n = len(pairs)
+    return mt.RankingMetrics(
+        {k: float(hr[k] / n) for k in ks}, {k: float(ndcg[k] / n) for k in ks}, {k: float(mrr[k] / n) for k in ks}, n
+    )
+
+
+def loop_interaction_counts(pairs, catalog_size):
+    """Reference interaction counts: one increment per occurrence."""
+    counts = np.zeros(catalog_size, dtype=np.int64)
+    for prefix, target in pairs:
+        for item in prefix:
+            counts[item] += 1
+        counts[target] += 1
+    return counts
+
+
+def desk_split():
+    sessions = synth_hierarchical(100, 2000, seed=7)
+    return preprocess(sessions, [f"i{v}" for v in range(100)], seed=7)
 
 
 class TestRankedList:
@@ -38,6 +83,62 @@ class TestRankedList:
             assert mt.target_rank(ranked, 0) == 3
             with pytest.raises(ValueError):
                 mt.target_rank(ranked, 9)
+
+
+class TestCountedRank:
+    """target_rank on a score row counts the rank; it must equal the sorted one."""
+
+    @staticmethod
+    def rows():
+        rng = np.random.default_rng(11)
+        tied = rng.normal(size=60)
+        tied[[3, 20, 41, 59]] = tied[20]
+        return [
+            ("random", rng.normal(size=40)),
+            ("random-small", rng.normal(size=3)),
+            ("ties", tied),
+            ("coarse-ties", rng.integers(0, 4, size=50).astype(float)),
+            ("all-equal", np.full(25, 0.25)),
+            ("signed-zeros", np.array([0.0, -0.0, 1.0, -0.0])),
+        ]
+
+    def test_equals_sorted_and_brute_force_rank(self):
+        for name, row in self.rows():
+            ranked = mt.ranked_items(row)
+            for target in range(row.shape[0]):
+                rank = mt.target_rank(row, target)
+                assert rank == mt.target_rank(ranked, target) == brute_force_rank(row, target), (name, target)
+
+    def test_target_tied_with_lower_and_higher_ids(self):
+        row = np.array([0.5, 0.9, 0.5, 0.1, 0.5, 0.9])
+        # 0.9 at ids 1 and 5 lead; the 0.5 tie at ids 0, 2, 4 follows in id order
+        assert [mt.target_rank(row, t) for t in range(6)] == [3, 1, 4, 6, 5, 2]
+
+    def test_wide_row(self):
+        rng = np.random.default_rng(12)
+        row = rng.random(32119)
+        row[rng.integers(32119, size=500)] = row[7]
+        ranked = mt.ranked_items(row)
+        for target in [0, 7, 32118] + rng.integers(32119, size=40).tolist():
+            rank = mt.target_rank(row, target)
+            assert rank == mt.target_rank(ranked, target) == brute_force_rank(row, target)
+
+    def test_pointwise_metrics_agree_at_every_cutoff(self):
+        for name, row in self.rows():
+            ranked = mt.ranked_items(row)
+            n = row.shape[0]
+            for target in range(n):
+                rank = mt.target_rank(row, target)
+                for k in range(1, n + 1):
+                    assert mt.hit_rate_at_k(ranked, target, k) == int(rank <= k), (name, target, k)
+                    assert mt.mrr_at_k(ranked, target, k) == (1.0 / rank if rank <= k else 0.0)
+                    assert mt.ndcg_at_k(ranked, target, k) == (1.0 / math.log2(rank + 1.0) if rank <= k else 0.0)
+
+    def test_target_outside_row_rejected(self):
+        row = np.array([0.3, 0.1, 0.2])
+        for target in (-1, 3):
+            with pytest.raises(ValueError):
+                mt.target_rank(row, target)
 
 
 class TestPointwiseMetrics:
@@ -153,12 +254,67 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             mt.evaluate(_StubModel(lambda p: np.zeros(3), 3), [], ks=(1,))
 
+    def test_cutoff_below_one_rejected(self):
+        model = _StubModel(lambda prefix: np.zeros(4), 4)
+        for ks in ((0,), (-1, 2), (0, 10)):
+            with pytest.raises(ValueError):
+                mt.evaluate(model, [([0], 1)], ks=ks)
+
+    def test_cutoff_beyond_catalog_hits_every_target(self):
+        model = _StubModel(lambda prefix: np.arange(4.0), 4)
+        result = mt.evaluate(model, [([0], t) for t in range(4)], ks=(4, 5))
+        assert result.hr == {4: 1.0, 5: 1.0}
+        assert result.mrr[4] == result.mrr[5]
+
+    def test_one_counted_rank_per_pair_and_no_sort(self, monkeypatch):
+        calls = {"target_rank": 0, "ranked_items": 0}
+        target_rank, ranked_items = mt.target_rank, mt.ranked_items
+
+        def counting_target_rank(*args):
+            calls["target_rank"] += 1
+            return target_rank(*args)
+
+        def counting_ranked_items(*args):
+            calls["ranked_items"] += 1
+            return ranked_items(*args)
+
+        monkeypatch.setattr(mt, "target_rank", counting_target_rank)
+        monkeypatch.setattr(mt, "ranked_items", counting_ranked_items)
+        pairs = [([t % 3], t % 7) for t in range(mt.EVAL_CHUNK + 5)]
+        mt.evaluate(_StubModel(lambda prefix: np.linspace(0.0, 1.0, 7), 7), pairs, ks=(1, 7))
+        assert calls == {"target_rank": len(pairs), "ranked_items": 0}
+
+    def test_trained_model_equals_sorted_reference(self):
+        ds = desk_split()
+        model = HCGRModel.create(HyperParams(dim=16, graph_layers=1, attention_blocks=1), ds.n_items, seed=7)
+        fit(model, TrainConfig(learning_rate=0.005, batch_size=32, epochs=1, seed=7), ds.train, ds.valid)
+        ks = (1, 5, 10, 20, ds.n_items)
+        got = mt.evaluate(model, ds.test, ks=ks)
+        want = sorted_evaluate(model, ds.test, ks)
+        assert got.n_evaluated == want.n_evaluated == len(ds.test)
+        for field in ("hr", "ndcg", "mrr"):
+            got_values, want_values = getattr(got, field), getattr(want, field)
+            assert list(got_values) == list(want_values)
+            assert [v.hex() for v in got_values.values()] == [v.hex() for v in want_values.values()], field
+
 
 class TestPopularityAndHierarchy:
     def test_interaction_counts(self):
         pairs = [([0, 1], 2), ([1, 1], 0)]
         counts = mt.interaction_counts(pairs, 4)
         assert counts.tolist() == [2, 3, 1, 0]
+
+    def test_interaction_counts_equal_loop_reference(self):
+        ds = desk_split()
+        for pairs in (ds.train, ds.test, [], [([], 3)]):
+            got = mt.interaction_counts(pairs, ds.n_items)
+            want = loop_interaction_counts(pairs, ds.n_items)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_interaction_counts_reject_ids_outside_catalog(self):
+        for pairs in ([([0, -1], 2)], [([0, 1], 4)], [([4], 0)], [([0], -1)]):
+            with pytest.raises(ValueError):
+                mt.interaction_counts(pairs, 4)
 
     def test_popularity_ranking_tie_break(self):
         pairs = [([0], 1), ([1], 0)]
