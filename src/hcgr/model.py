@@ -11,10 +11,20 @@ tangent-space dot products, multiplied by a learned positive scale.
 probabilities, is computed when it is first read (``ForwardResult.yhat``),
 so training, whose loss works from the logits, never builds it.
 
+A session's graph has one node per distinct item, in first-occurrence
+order, so "the last clicked item" is a well-defined node. Each consecutive
+pair of clicks (v_t, v_t+1) adds one count to the directed edge
+v_t -> v_t+1; immediate repeats land on the node's self-loop, and a node
+without one gets a self-loop of weight 1, so every neighbourhood contains
+the node itself. Attention runs over the undirected union weights
+count(i->j) + count(j->i), the self-loop counted once.
+
 The pipeline runs on batches. ``HCGRModel.batch`` turns B sessions into a
 SessionBatch: node ids padded to the longest session's n_max nodes, a
 (B, n_max, n_max) graph-attention offset (log union weight on neighbour
 pairs, MASK_LOGIT elsewhere) and a (B, 1, n_max) self-attention key mask.
+``build_graph`` and ``neighborhood`` compute the graphs of the whole batch
+at once from its flat clicks.
 ``forward`` then runs every stage once over the batch, reads out each
 session's last node, and scores the catalog with one (B, V) product.
 
@@ -52,9 +62,6 @@ import numpy as np
 from . import autodiff as ad
 from . import manifold
 from .autodiff import Tensor
-# neighborhood is unused here; it stays a module attribute because the
-# benchmark's span tracer wraps model.build_graph and model.neighborhood
-from .session_graph import SessionGraph, build_graph, neighborhood  # noqa: F401
 
 CHECKPOINT_FORMAT = "hcgr-v2"
 AGGREGATORS = ("multi_hop", "gat_last_layer", "gcn_mean")
@@ -254,11 +261,10 @@ class ModelCaches:
 class SessionBatch:
     """Sessions padded to a common node count for one batched forward pass.
 
-    Session b fills the first len(graphs[b].nodes) node slots of row b; the
-    slots after them are padding.
+    Session b fills the first slots of row b, one per distinct item in
+    first-occurrence order; the slots after them are padding.
     """
 
-    graphs: list[SessionGraph]
     node_ids: np.ndarray  # (B, n_max) item of each slot; padding holds item 0
     bias: np.ndarray  # (B, n_max, n_max) graph-attention logit offsets
     key_mask: np.ndarray  # (B, 1, n_max) self-attention logit offsets
@@ -270,8 +276,9 @@ class Traces:
     """Attention weights captured during one forward pass.
 
     For one session the arrays are (n, n) attention matrices and (n, d+1)
-    points; for a SessionBatch they keep the leading batch axis and padding
-    slots, and node_items is empty. ``points`` (with collect_points=True)
+    points, and node_items holds the item of each node slot; for a
+    SessionBatch the arrays keep the leading batch axis and padding slots,
+    and node_items is empty. ``points`` (with collect_points=True)
     holds each stage's output tangents mapped onto that stage's hyperboloid:
     "embed" and "graph_layer_l" under graph_k[0] and graph_k[l], "fused"
     under graph_k[-1], "block_j" under block_k[j].
@@ -291,7 +298,6 @@ class ForwardResult:
 
     logits: Tensor  # (V,) scaled catalog logits, (B, V) for a batch
     readout_tangent: Tensor  # (d,) origin tangent that ``score`` ranks the catalog with, (B, d) for a batch
-    graph: SessionGraph | None  # None for a batch
     traces: Traces
 
     @cached_property
@@ -306,6 +312,57 @@ class ForwardResult:
         0, computed on first read."""
         o = self.readout_tangent.data
         return ad.constant(np.concatenate([np.zeros(o.shape[:-1] + (1,)), o], axis=-1))
+
+
+def build_graph(sessions, catalog_size: int, max_len: int):
+    """Session graphs of a batch, from its clicks: node ids (B, n_max), node
+    counts (B,), the slot of each last click (B,) and directed transition
+    counts with self-loops (B, n_max, n_max).
+
+    Each session is cut to its most recent max_len clicks. Padding slots
+    hold item 0 and no counts.
+    """
+    cut = [list(items)[-max_len:] for items in sessions]
+    if not cut:
+        raise ValueError("no sessions to batch")
+    lengths = np.array([len(c) for c in cut])
+    if lengths.min() == 0:
+        raise ValueError("empty session")
+    try:
+        clicks = np.array([v for c in cut for v in c], dtype=np.intp)
+    except OverflowError:
+        raise ValueError("item id out of catalog range") from None
+    if clicks.min() < 0 or clicks.max() >= catalog_size:
+        raise ValueError("item id out of catalog range")
+    session = np.repeat(np.arange(len(cut)), lengths)
+    # keys sort by (session, item); ranking them by first click puts each
+    # session's nodes in first-occurrence order, sessions one after another
+    keys, first, inverse = np.unique(session * catalog_size + clicks, return_index=True, return_inverse=True)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(keys))
+    node_session, node_items = np.divmod(keys, catalog_size)
+    sizes = np.bincount(node_session, minlength=len(cut))
+    node_slot = rank - (np.cumsum(sizes) - sizes)[node_session]
+    n_max = int(sizes.max())
+    node_ids = np.zeros((len(cut), n_max), dtype=np.intp)
+    node_ids[node_session, node_slot] = node_items
+    slot = node_slot[inverse]
+    src = np.nonzero(session[:-1] == session[1:])[0]  # clicks followed by one of their session
+    flat = (session[src] * n_max + slot[src]) * n_max + slot[src + 1]
+    counts = np.bincount(flat, minlength=len(cut) * n_max * n_max).reshape(len(cut), n_max, n_max)
+    # a real slot without a self-loop gets one of weight 1; padding stays 0
+    i = np.arange(n_max)
+    counts[:, i, i] = np.maximum(counts[:, i, i], i < sizes[:, None])
+    return node_ids, sizes, slot[np.cumsum(lengths) - 1], counts
+
+
+def neighborhood(counts: np.ndarray) -> np.ndarray:
+    """Undirected union weights count(i->j) + count(j->i) of directed counts
+    (..., n, n), each self-loop counted once."""
+    union = counts + np.swapaxes(counts, -1, -2)
+    i = np.arange(counts.shape[-1])
+    union[..., i, i] = counts[..., i, i]
+    return union
 
 
 class HCGRModel:
@@ -358,7 +415,7 @@ class HCGRModel:
 
     # -- forward pass -----------------------------------------------------
     def batch(self, sessions) -> SessionBatch:
-        """Graphs, padded node ids and attention masks of several sessions.
+        """Padded node ids and attention masks of several sessions.
 
         Each session is cut to its most recent max_session_len clicks. Real
         slots get the log union weight of each neighbour as graph-attention
@@ -366,29 +423,8 @@ class HCGRModel:
         padding slot neighbours only itself, and its key column is masked in
         self-attention, so no real slot ever attends to it.
         """
-        graphs = []
-        for items in sessions:
-            items = list(items)[-self.hyper.max_session_len :]
-            if not items:
-                raise ValueError("empty session")
-            if min(items) < 0 or max(items) >= self.catalog_size:
-                raise ValueError("item id out of catalog range")
-            graphs.append(build_graph(items))
-        if not graphs:
-            raise ValueError("no sessions to batch")
-        sizes = np.array([len(g.nodes) for g in graphs])
-        n_max = int(sizes.max())
-        node_ids = np.zeros((len(graphs), n_max), dtype=np.intp)
-        for b, g in enumerate(graphs):
-            node_ids[b, : sizes[b]] = g.nodes
-        # union weights as neighborhood() gives them: count(i->j) + count(j->i),
-        # a self-loop counted once
-        eb, ei, ej, ew = np.array(
-            [(b, i, j, w) for b, g in enumerate(graphs) for (i, j), w in g.edges.items()], dtype=np.intp
-        ).T
-        rev = ei != ej
-        union = np.zeros((len(graphs), n_max, n_max))
-        np.add.at(union, (np.r_[eb, eb[rev]], np.r_[ei, ej[rev]], np.r_[ej, ei[rev]]), np.r_[ew, ew[rev]])
+        node_ids, sizes, last, counts = build_graph(sessions, self.catalog_size, self.hyper.max_session_len)
+        union = neighborhood(counts)
         linked = union > 0
         bias = np.full(union.shape, MASK_LOGIT)
         if self.hyper.aggregator == "gcn_mean":
@@ -396,12 +432,11 @@ class HCGRModel:
         else:
             weights, which = np.unique(union[linked], return_inverse=True)
             bias[linked] = np.array([math.log(w) for w in weights.tolist()])[which]
-        pad = np.arange(n_max) >= sizes[:, None]
+        pad = np.arange(node_ids.shape[1]) >= sizes[:, None]
         pad_b, pad_i = np.nonzero(pad)
         bias[pad_b, pad_i, pad_i] = 0.0
         key_mask = np.where(pad, MASK_LOGIT, 0.0)[:, None, :]
-        last = np.array([g.position_of_last for g in graphs], dtype=np.intp)
-        return SessionBatch(graphs, node_ids, bias, key_mask, last)
+        return SessionBatch(node_ids, bias, key_mask, last)
 
     def forward(self, items, caches: ModelCaches | None = None, collect_points: bool = False) -> ForwardResult:
         """Scaled catalog logits for one session (item ids) or a SessionBatch.
@@ -415,7 +450,7 @@ class HCGRModel:
         if caches is None:
             caches = self.caches()
         p = self.params
-        traces = Traces(node_items=sb.graphs[0].nodes if single else ())
+        traces = Traces(node_items=tuple(sb.node_ids[0].tolist()) if single else ())
         stage_tangents: dict[str, tuple[Tensor, Tensor]] = {}
 
         T = ad.take_rows(p.embeddings, sb.node_ids)
@@ -452,7 +487,7 @@ class HCGRModel:
                     name: manifold.exp_o_rows(t, k).data[0 if single else slice(None)]
                     for name, (t, k) in stage_tangents.items()
                 }
-        return ForwardResult(self.score(o_vec), o_vec, sb.graphs[0] if single else None, traces)
+        return ForwardResult(self.score(o_vec), o_vec, traces)
 
     def score(self, o_vec: Tensor) -> Tensor:
         """Scaled catalog logits z = exp(logit_scale) * (o E^T), as one

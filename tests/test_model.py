@@ -16,7 +16,6 @@ from hcgr.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from hcgr.session_graph import neighborhood
 
 import oracle
 
@@ -243,7 +242,7 @@ class TestGateBlend:
         with ad.no_grad():
             k = model.caches().block_k[0]
             e_tan = mf.log_o_rows(ad.Tensor(out.traces.points["block_0"]), k).data
-        pos = out.graph.position_of_last
+        pos = model.batch([[0, 1, 2]]).last[0]
         assert np.abs(out.readout.data[1:] - e_tan[pos]).max() < 1e-12
 
     def test_gate_zero_blends_equally(self):
@@ -254,7 +253,7 @@ class TestGateBlend:
             caches = model.caches()
             e_tan = mf.log_o_rows(ad.Tensor(out.traces.points["block_0"]), caches.block_k[0]).data
             z_tan = mf.log_o_rows(ad.Tensor(out.traces.points["fused"]), caches.graph_k[-1]).data
-        pos = out.graph.position_of_last
+        pos = model.batch([[0, 1, 2]]).last[0]
         want = 0.5 * e_tan[pos] + 0.5 * z_tan[pos]
         assert np.abs(out.readout.data[1:] - want).max() < 1e-12
 
@@ -420,25 +419,33 @@ class TestBatchForward:
         with pytest.raises(ValueError):
             self._model().batch([])
 
+    @pytest.mark.parametrize(
+        "sessions", [[[0, 1], []], [[0, 9]], [[0, 1], [3, -1, 2]], [[0, 2**70]]], ids=["empty", "id-V", "negative", "id-2**70"]
+    )
+    def test_malformed_session_rejected(self, sessions):
+        with pytest.raises(ValueError):
+            self._model().batch(sessions)
+
     @staticmethod
-    def _batch_reference(model, graphs):
+    def _batch_reference(model, sessions):
         """node_ids, bias, key_mask and last of HCGRModel.batch, built node by
-        node from neighborhood() as before the edge arrays."""
-        n_max = max(len(g.nodes) for g in graphs)
+        node from the oracle's session graphs and union neighbourhoods."""
+        graphs = [oracle.build_graph(list(items)[-model.hyper.max_session_len :]) for items in sessions]
+        n_max = max(len(nodes) for nodes, _, _ in graphs)
         uniform = model.hyper.aggregator == "gcn_mean"
         node_ids = np.zeros((len(graphs), n_max), dtype=np.intp)
         bias = np.full((len(graphs), n_max, n_max), MASK_LOGIT)
         key_mask = np.zeros((len(graphs), 1, n_max))
-        for b, g in enumerate(graphs):
-            n = len(g.nodes)
-            node_ids[b, :n] = g.nodes
+        for b, (nodes, _, edges) in enumerate(graphs):
+            n = len(nodes)
+            node_ids[b, :n] = nodes
             for i in range(n):
-                for j, w in neighborhood(g, i):
+                for j, w in oracle.union_neighbors(edges, n, i):
                     bias[b, i, j] = 0.0 if uniform else math.log(w)
             pad = np.arange(n, n_max)
             bias[b, pad, pad] = 0.0
             key_mask[b, 0, n:] = MASK_LOGIT
-        last = np.array([g.position_of_last for g in graphs], dtype=np.intp)
+        last = np.array([last_pos for _, last_pos, _ in graphs], dtype=np.intp)
         return node_ids, bias, key_mask, last
 
     @pytest.mark.parametrize("aggregator", AGGREGATORS)
@@ -448,11 +455,16 @@ class TestBatchForward:
         # repeats, immediate self-loops and sessions beyond max_session_len (12)
         batches = [self.SESSIONS, [[4, 4, 4], [1, 2, 1, 2, 1, 2, 2]]]
         batches += [[rng.integers(0, 9, size=rng.integers(1, 30)).tolist() for _ in range(5)] for _ in range(40)]
-        for sessions in batches:
-            sb = model.batch(sessions)
-            got = (sb.node_ids, sb.bias, sb.key_mask, sb.last)
-            for name, a, r in zip(("node_ids", "bias", "key_mask", "last"), got, self._batch_reference(model, sb.graphs)):
-                assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes(), (name, sessions)
+        # ids from a 32,119-item catalog, repeating within each batch's pool
+        wide = HCGRModel.create(model.hyper, 32119, seed=30)
+        pools = [rng.integers(0, 32119, size=12) for _ in range(20)]
+        wide_batches = [[pool[rng.integers(0, 12, size=rng.integers(1, 30))].tolist() for _ in range(5)] for pool in pools]
+        for net, cases in ((model, batches), (wide, wide_batches)):
+            for sessions in cases:
+                sb = net.batch(sessions)
+                got = (sb.node_ids, sb.bias, sb.key_mask, sb.last)
+                for name, a, r in zip(("node_ids", "bias", "key_mask", "last"), got, self._batch_reference(net, sessions)):
+                    assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes(), (name, sessions)
 
 
 class TestSelfPairs:
