@@ -209,24 +209,44 @@ def save_prepared(path: str, ds: Dataset, seed: int, stats: dict | None = None):
 
 
 def load_prepared(path: str) -> Dataset:
+    """Read a dataset written by save_prepared.
+
+    A malformed file raises DataFormatError: a document that is not an
+    object of this format, a missing token list or split, a pair that is not
+    [prefix, target], an empty prefix, or an item id that is not an integer
+    in [0, len(tokens)).
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot read prepared dataset {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != PREPARED_FORMAT:
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"prepared dataset {path} holds a JSON {type(doc).__name__}, not an object")
+    if doc.get("format") != PREPARED_FORMAT:
         raise DataFormatError(f"unknown prepared-dataset format {doc.get('format')!r}")
-    splits = doc["splits"]
+    tokens, splits = doc.get("tokens"), doc.get("splits")
+    if not isinstance(tokens, list) or not isinstance(splits, dict):
+        raise DataFormatError(f"prepared dataset {path} needs a 'tokens' list and a 'splits' object")
+    n = len(tokens)
 
-    def pairs(rows):
-        return [(list(map(int, p)), int(t)) for p, t in rows]
+    def item(v):
+        if type(v) is not int or not 0 <= v < n:  # bool is an int subclass, and not an id
+            raise DataFormatError(f"prepared dataset {path}: item id {v!r} is not an integer in [0, {n})")
+        return v
 
-    return Dataset(
-        tokens=list(doc["tokens"]),
-        train=pairs(splits["train"]),
-        valid=pairs(splits["valid"]),
-        test=pairs(splits["test"]),
-    )
+    def pairs(name):
+        rows = splits.get(name)
+        if not isinstance(rows, list):
+            raise DataFormatError(f"prepared dataset {path}: split {name!r} is missing or not a list")
+        out = []
+        for row in rows:
+            if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], list) and row[0]):
+                raise DataFormatError(f"prepared dataset {path}: {name} pair {row!r} is not [non-empty prefix, target]")
+            out.append(([item(v) for v in row[0]], item(row[1])))
+        return out
+
+    return Dataset(tokens=tokens, train=pairs("train"), valid=pairs("valid"), test=pairs("test"))
 
 
 # ---------------------------------------------------------------------------

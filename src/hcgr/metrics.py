@@ -4,7 +4,9 @@ Ranking is deterministic: items are ordered by descending score with ties
 broken by ascending item id. The target is a single item, so NDCG reduces to
 1/log2(rank+1) (the ideal DCG is 1) and MRR to the reciprocal rank, both
 zeroed when the target falls outside the cutoff. Evaluation needs only that
-rank, so it counts it from the score row instead of sorting the catalog.
+rank, so it counts it from the score row instead of sorting the catalog. It
+scores the pairs in chunks of sessions with similar node counts, so a chunk
+is padded little, and sums the metrics in split order.
 """
 
 from __future__ import annotations
@@ -97,9 +99,13 @@ def ndcg_at_k(ranked, target: int, k: int) -> float:
 def evaluate(model, pairs, ks=(10, 20)) -> RankingMetrics:
     """Mean HitRate/NDCG/MRR at each cutoff over (prefix, target) pairs.
 
-    Scores come from batched forward passes over chunks of EVAL_CHUNK pairs
-    with a shared read-only cache. Each pair's rank is counted from its score
-    row by ``target_rank``; the catalog is never sorted. A cutoff below 1
+    The pairs are stable-sorted by node count, the number of distinct items
+    in the prefix (as ``HCGRModel.batch`` builds a prefix within
+    max_session_len), and scored in chunks of EVAL_CHUNK by batched forward
+    passes with a shared read-only cache, so a chunk is padded little. Each
+    pair's rank is counted from its score row by ``target_rank``; the
+    catalog is never sorted. The metrics are summed over the ranks in split
+    order, so the chunking cannot change their bytes. A cutoff below 1
     raises ValueError. A cutoff of at least the catalog size is allowed: the
     rank never exceeds it, so HR there is 1.
     """
@@ -108,13 +114,15 @@ def evaluate(model, pairs, ks=(10, 20)) -> RankingMetrics:
     ks = tuple(sorted(ks))
     if ks and ks[0] < 1:
         raise ValueError(f"evaluate: cutoff {ks[0]} below 1")
-    ranks = []
+    order = sorted(range(len(pairs)), key=lambda i: len(set(pairs[i][0])))
+    ranks = [0] * len(pairs)
     with ad.no_grad():
         caches = model.caches()
-        for start in range(0, len(pairs), EVAL_CHUNK):
-            chunk = pairs[start : start + EVAL_CHUNK]
-            yhat = model.forward(model.batch([prefix for prefix, _ in chunk]), caches=caches).yhat.data
-            ranks.extend(target_rank(row, target) for row, (_, target) in zip(yhat, chunk))
+        for start in range(0, len(order), EVAL_CHUNK):
+            chunk = order[start : start + EVAL_CHUNK]
+            yhat = model.forward(model.batch([pairs[i][0] for i in chunk]), caches=caches).yhat.data
+            for row, i in zip(yhat, chunk):
+                ranks[i] = target_rank(row, pairs[i][1])
 
     hr = {k: 0.0 for k in ks}
     ndcg = {k: 0.0 for k in ks}

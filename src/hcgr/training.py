@@ -27,6 +27,7 @@ third epoch and early stopping watches validation MRR@20.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,14 +76,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # written so that NaN fails each test
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0 < self.lr_decay < math.inf:
+            raise ValueError("lr_decay must be positive and finite")
+        if self.lr_decay_every < 1:
+            raise ValueError("lr_decay_every must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.batch_size < 1 or self.negatives < 1:
             raise ValueError("batch_size and negatives must be >= 1")
-        if min(self.ce_weight, self.contrastive_weight, self.margin, self.l2) < 0:
-            raise ValueError("loss weights, margin and l2 must be non-negative")
+        for name in ("ce_weight", "contrastive_weight", "margin", "l2"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -268,15 +275,24 @@ def total_loss(
 def draw_negatives(
     rng: np.random.Generator, session: list[int], target: int, catalog_size: int, count: int
 ) -> np.ndarray:
-    """Uniform negatives excluding the session's own items and the target."""
-    keep = np.ones(catalog_size, dtype=bool)
-    keep[session] = False
-    keep[target] = False
-    pool = np.flatnonzero(keep)
-    if pool.size == 0:
-        return pool
-    replace = pool.size < count
-    return rng.choice(pool, size=count, replace=replace)
+    """Uniform negatives excluding the session's own items and the target.
+
+    The pool is the sorted catalog without the excluded ids, drawn from
+    without replacement unless it is smaller than count. It is never built:
+    the draw picks positions in it, and position j maps to the j-th kept id,
+    which is j plus the number of excluded ids below that id. So the draws
+    and the generator's state are those of rng.choice over the pool.
+    """
+    excluded = sorted({*session, target})
+    if excluded[0] < 0 or excluded[-1] >= catalog_size:
+        raise ValueError(f"item id out of range for {catalog_size} items")
+    size = catalog_size - len(excluded)
+    if size == 0:
+        return np.empty(0, dtype=np.intp)
+    idx = rng.choice(size, size=count, replace=size < count)
+    # excluded[i] - i kept ids lie below excluded[i]
+    kept_below = np.array(excluded, dtype=np.intp) - np.arange(len(excluded))
+    return idx + np.searchsorted(kept_below, idx, side="right")
 
 
 # ---------------------------------------------------------------------------

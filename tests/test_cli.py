@@ -142,6 +142,32 @@ class TestTrain:
         assert not os.path.exists(ckpt)
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["learning_rate=nan", "lr_decay=0", "lr_decay=-0.5", "lr_decay_every=0", "l2=nan", "margin=nan"]
+    )
+    def test_config_value_that_breaks_a_run_exits_2_before_output(self, tmp_path, corpus, capsys, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"{line}\nepochs=1\n", encoding="utf-8")
+        ckpt = tmp_path / "out" / "never.json"
+        assert run("train", "--data", corpus, "--config", str(conf), "--checkpoint-out", str(ckpt),
+                   "--dim", "6", "--seed", "5") == 2
+        assert capsys.readouterr().err.startswith("error: " + line.split("=")[0])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "hcgr-data-v1", "tokens": ["a"]}'])
+    def test_malformed_prepared_data_exits_2(self, tmp_path, checkpoint, capsys, command, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ("train", "--data", str(bad), "--checkpoint-out", str(out / "m.json"), "--dim", "6", "--epochs", "0")
+        else:
+            argv = ("eval", "--data", str(bad), "--checkpoint", checkpoint, "--out", str(out / "m.csv"))
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: prepared dataset")
+        assert not out.exists()
+
     def test_numeric_failure_exit_code(self, tmp_path, corpus, monkeypatch):
         def boom(*a, **kw):
             raise TrainingNumericError("epoch 1 batch 0: non-finite values produced by 'exp'")

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -205,6 +206,62 @@ class TestPreparedRoundTrip:
         path.write_text('{"format": "other-v9"}', encoding="utf-8")
         with pytest.raises(dm.DataFormatError, match="format"):
             dm.load_prepared(str(path))
+
+    @staticmethod
+    def _write(tmp_path, doc):
+        path = tmp_path / "prepared.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def _doc(**changes):
+        splits = {"train": [[[0, 1], 2]], "valid": [[[1], 0]], "test": [[[2, 2], 1]]}
+        doc = {"format": dm.PREPARED_FORMAT, "tokens": ["a", "b", "c"], "splits": splits}
+        doc.update(changes)
+        return doc
+
+    def test_minimal_document_loads(self, tmp_path):
+        ds = dm.load_prepared(self._write(tmp_path, self._doc()))
+        assert ds.train == [([0, 1], 2)] and ds.valid == [([1], 0)] and ds.test == [([2, 2], 1)]
+
+    def test_json_list_rejected(self, tmp_path):
+        with pytest.raises(dm.DataFormatError, match="list"):
+            dm.load_prepared(self._write(tmp_path, [self._doc()]))
+
+    def test_missing_splits_rejected(self, tmp_path):
+        doc = self._doc()
+        del doc["splits"]
+        with pytest.raises(dm.DataFormatError, match="splits"):
+            dm.load_prepared(self._write(tmp_path, doc))
+
+    def test_missing_split_rejected(self, tmp_path):
+        doc = self._doc()
+        del doc["splits"]["valid"]
+        with pytest.raises(dm.DataFormatError, match="valid"):
+            dm.load_prepared(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("bad", ["1", 1.0, 1.5, None, True, [1]])
+    def test_non_integer_id_rejected(self, tmp_path, bad):
+        for splits in ({"train": [[[0, bad], 2]]}, {"test": [[[0], bad]]}):
+            doc = self._doc()
+            doc["splits"].update(splits)
+            with pytest.raises(dm.DataFormatError, match="not an integer"):
+                dm.load_prepared(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("bad", [-1, 3, 10**30])
+    def test_id_outside_tokens_rejected(self, tmp_path, bad):
+        for splits in ({"valid": [[[bad, 0], 1]]}, {"test": [[[0], bad]]}):
+            doc = self._doc()
+            doc["splits"].update(splits)
+            with pytest.raises(dm.DataFormatError, match=r"\[0, 3\)"):
+                dm.load_prepared(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("bad", [[[], 1], [[0, 1]], [[0], 1, 2], [0, 1], "ab"])
+    def test_empty_prefix_or_malformed_pair_rejected(self, tmp_path, bad):
+        doc = self._doc()
+        doc["splits"]["train"].append(bad)
+        with pytest.raises(dm.DataFormatError, match="prefix"):
+            dm.load_prepared(self._write(tmp_path, doc))
 
 
 class TestSynth:

@@ -298,6 +298,111 @@ class TestEvaluate:
             assert [v.hex() for v in got_values.values()] == [v.hex() for v in want_values.values()], field
 
 
+def split_order_metrics(ranks, ks):
+    """HR/NDCG/MRR summed over ranks in the order given, as evaluate sums."""
+    hr, ndcg, mrr = ({k: 0.0 for k in ks} for _ in range(3))
+    for rank in ranks:
+        for k in ks:
+            if rank <= k:
+                hr[k] += 1.0
+                ndcg[k] += float(1.0 / np.log2(rank + 1.0))
+                mrr[k] += 1.0 / rank
+    n = len(ranks)
+    return tuple({k: float(m[k] / n) for k in ks} for m in (hr, ndcg, mrr))
+
+
+def recorded_evaluate(monkeypatch, model, pairs, ks):
+    """evaluate's metrics, the pair indices of each chunk the model's batch
+    received, and the rank target_rank counted for each pair. Prefixes must
+    be distinct list objects, so that a received prefix names its pair."""
+    chunks, counted = [], []
+    batch, target_rank = model.batch, mt.target_rank
+
+    def recording_batch(prefixes):
+        chunks.append(prefixes)
+        return batch(prefixes)
+
+    def recording_target_rank(row, target):
+        counted.append(target_rank(row, target))
+        return counted[-1]
+
+    monkeypatch.setattr(model, "batch", recording_batch)
+    monkeypatch.setattr(mt, "target_rank", recording_target_rank)
+    result = mt.evaluate(model, pairs, ks=ks)
+    index = {id(prefix): i for i, (prefix, _) in enumerate(pairs)}
+    chunks = [[index[id(p)] for p in chunk] for chunk in chunks]
+    ranks = [None] * len(pairs)
+    for i, rank in zip((i for chunk in chunks for i in chunk), counted, strict=True):
+        ranks[i] = rank
+    return result, chunks, ranks
+
+
+class TestSortedEvaluate:
+    def test_chunks_sorted_by_node_count_each_pair_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        pairs = [(rng.integers(0, 12, size=rng.integers(1, 15)).tolist(), int(rng.integers(12))) for _ in range(150)]
+        model = _StubModel(lambda prefix: np.linspace(0.0, 1.0, 12), 12)
+        _, chunks, _ = recorded_evaluate(monkeypatch, model, pairs, (5,))
+        assert all(1 <= len(chunk) <= mt.EVAL_CHUNK for chunk in chunks)
+        scored = [i for chunk in chunks for i in chunk]
+        assert sorted(scored) == list(range(len(pairs)))
+        # node counts never decrease, and equal counts keep split order
+        keys = [(len(set(pairs[i][0])), i) for i in scored]
+        assert keys == sorted(keys)
+        assert scored != sorted(scored)
+
+    def test_metrics_summed_in_split_order(self):
+        # the first item of a prefix sets the rank: items below it score 1,
+        # the target 0, the rest 0 with larger ids; the other items set the
+        # node count, which falls as the split goes on
+        rng = np.random.default_rng(11)
+        n_items, n = 200, 97
+        wanted = rng.integers(1, 60, size=n).tolist()
+        pairs = [([r - 1] + list(range(100, 100 + n - i)), r - 1) for i, r in enumerate(wanted)]
+
+        def score(prefix):
+            s = np.zeros(n_items)
+            s[: prefix[0]] = 1.0
+            return s
+
+        ks = (10, 20, 60)
+        got = mt.evaluate(_StubModel(score, n_items), pairs, ks=ks)
+
+        def hexes(metrics):
+            return [v.hex() for m in metrics for v in m.values()]
+
+        want = split_order_metrics(wanted, ks)
+        assert hexes((got.hr, got.ndcg, got.mrr)) == hexes(want)
+        # the sums depend on the order: summed in scoring order, which is
+        # the reverse, they differ
+        assert hexes(split_order_metrics(wanted[::-1], ks)) != hexes(want)
+
+    @pytest.mark.parametrize("aggregator", ["multi_hop", "gat_last_layer", "gcn_mean"])
+    def test_ranks_equal_split_order_chunks_and_one_session_forwards(self, monkeypatch, aggregator):
+        # long-like sessions: 1 to 60 clicks over a small catalog, so items
+        # repeat, and past the cut at max_session_len
+        n_items = 40
+        rng = np.random.default_rng(3)
+        pairs = [(rng.integers(0, n_items, size=rng.integers(1, 61)).tolist(), int(rng.integers(n_items))) for _ in range(90)]
+        hyper = HyperParams(dim=8, graph_layers=2, attention_blocks=1, aggregator=aggregator)
+        model = HCGRModel.create(hyper, n_items, seed=4)
+        model.params.logit_scale.data[...] = 1.5
+        ks = (1, 10, n_items)
+        result, _, ranks = recorded_evaluate(monkeypatch, model, pairs, ks)
+        split_ranks, one_ranks = [], []
+        with ad.no_grad():
+            caches = model.caches()
+            for start in range(0, len(pairs), mt.EVAL_CHUNK):
+                chunk = pairs[start : start + mt.EVAL_CHUNK]
+                yhat = model.forward(model.batch([p for p, _ in chunk]), caches=caches).yhat.data
+                split_ranks += [brute_force_rank(row.tolist(), t) for row, (_, t) in zip(yhat, chunk)]
+            for prefix, target in pairs:
+                one_ranks.append(brute_force_rank(model.forward(prefix, caches=caches).yhat.data.tolist(), target))
+        assert ranks == split_ranks == one_ranks
+        want = split_order_metrics(split_ranks, ks)
+        assert (result.hr, result.ndcg, result.mrr) == want
+
+
 class TestPopularityAndHierarchy:
     def test_interaction_counts(self):
         pairs = [([0, 1], 2), ([1, 1], 0)]

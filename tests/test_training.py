@@ -23,6 +23,27 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tr.TrainConfig(epochs=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
+            ("lr_decay", 0.0),
+            ("lr_decay", -0.5),
+            ("lr_decay", math.nan),
+            ("lr_decay_every", 0),
+            ("lr_decay_every", -1),
+            ("ce_weight", math.nan),
+            ("contrastive_weight", math.nan),
+            ("margin", math.nan),
+            ("l2", math.nan),
+            ("l2", math.inf),
+        ],
+    )
+    def test_rejects_values_that_crash_or_corrupt_a_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tr.TrainConfig(**{field: value})
+
     def test_lr_schedule_halves_every_three_epochs(self):
         cfg = tr.TrainConfig(learning_rate=0.004)
         assert [cfg.lr_at_epoch(e) for e in (1, 2, 3, 4, 6, 7, 10)] == [
@@ -443,7 +464,59 @@ class TestReadOnlyIncomingGradients:
         assert leaf_grads(read_only=True) == leaf_grads(read_only=False)
 
 
+def pool_negatives(rng, session, target, catalog_size, count):
+    """Reference draw: rng.choice over the catalog without session and target."""
+    keep = np.ones(catalog_size, dtype=bool)
+    keep[session] = False
+    keep[target] = False
+    pool = np.flatnonzero(keep)
+    if pool.size == 0:
+        return pool
+    return rng.choice(pool, size=count, replace=pool.size < count)
+
+
 class TestNegativeSampling:
+    @pytest.mark.parametrize(
+        "session, target, catalog_size, count",
+        [
+            ([3, 5, 3, 11], 8, 20, 6),  # repeated session items
+            ([0, 1, 2], 3, 6, 5),  # pool of 2, smaller than count
+            ([0, 1], 2, 3, 1),  # empty pool
+            ([0], 0, 1, 2),  # empty pool, one item
+            ([4, 2, 7], 7, 9, 3),  # target inside the session
+            ([0, 9], 5, 10, 4),  # ids 0 and V-1 excluded
+            ([8, 8], 0, 9, 8),  # pool exactly count
+            ([1], 2, 32119, 2),
+            (np.array([6, 1, 6]), 9, 10, 7),
+        ],
+    )
+    def test_equals_pool_reference(self, session, target, catalog_size, count):
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = pool_negatives(a, session, target, catalog_size, count)
+            got = tr.draw_negatives(b, session, target, catalog_size, count)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert b.bit_generator.state == a.bit_generator.state
+
+    def test_equals_pool_reference_on_random_cases(self):
+        meta = np.random.default_rng(0)
+        for _ in range(500):
+            catalog_size = int(meta.integers(1, 80))
+            session = meta.integers(0, catalog_size, size=meta.integers(1, 30)).tolist()
+            target = int(meta.integers(catalog_size))
+            count = int(meta.integers(1, 6))
+            seed = int(meta.integers(2**31))
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = pool_negatives(a, session, target, catalog_size, count)
+            got = tr.draw_negatives(b, session, target, catalog_size, count)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert b.bit_generator.state == a.bit_generator.state
+
+    @pytest.mark.parametrize("session, target", [([0, 12], 1), ([-1, 3], 1), ([2], 12)])
+    def test_ids_outside_catalog_rejected(self, session, target):
+        with pytest.raises(ValueError):
+            tr.draw_negatives(np.random.default_rng(0), session, target, catalog_size=12, count=1)
+
     def test_excludes_session_and_target(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
