@@ -124,12 +124,6 @@ def cmd_synth(args) -> int:
 def cmd_prepare(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     sessions, tokens = dataset.ingest(args.input)
-    filtered = dataset.filter_sessions(
-        sessions, args.min_item_freq, args.min_session_len, args.max_session_len
-    )
-    if not filtered:
-        raise dataset.EmptyDatasetError("all sessions removed by filtering")
-    stats = dataset.corpus_stats(filtered)
     ds = dataset.preprocess(
         sessions,
         tokens,
@@ -138,6 +132,8 @@ def cmd_prepare(args) -> int:
         min_session_len=args.min_session_len,
         max_session_len=args.max_session_len,
     )
+    # each pair is one filtered session: its prefix and its last click
+    stats = dataset.corpus_stats([prefix + [target] for prefix, target in ds.train + ds.valid + ds.test])
     out_dir = os.path.dirname(os.path.abspath(args.output))
     os.makedirs(out_dir, exist_ok=True)
     dataset.save_prepared(args.output, ds, seed, stats)
@@ -184,7 +180,7 @@ def cmd_train(args) -> int:
         if not ds.train or not ds.valid:
             raise UsageError("training requires nonempty train and valid splits")
         state = fit(model, cfg, ds.train, ds.valid, log=log)
-        val = metrics.evaluate(model, ds.valid, ks=(10, 20))
+        val = state.best_metrics
         print(
             f"best_epoch={state.best_epoch} val_hr10={val.hr[10]:.6f} val_hr20={val.hr[20]:.6f} "
             f"val_mrr10={val.mrr[10]:.6f} val_mrr20={val.mrr[20]:.6f}"

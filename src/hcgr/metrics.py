@@ -99,12 +99,12 @@ def ndcg_at_k(ranked, target: int, k: int) -> float:
 def evaluate(model, pairs, ks=(10, 20)) -> RankingMetrics:
     """Mean HitRate/NDCG/MRR at each cutoff over (prefix, target) pairs.
 
-    The pairs are stable-sorted by node count, the number of distinct items
-    in the prefix (as ``HCGRModel.batch`` builds a prefix within
-    max_session_len), and scored in chunks of EVAL_CHUNK by batched forward
-    passes with a shared read-only cache, so a chunk is padded little. Each
-    pair's rank is counted from its score row by ``target_rank``; the
-    catalog is never sorted. The metrics are summed over the ranks in split
+    The pairs are stable-sorted by ``len(set(prefix))``, taken before
+    ``HCGRModel.batch`` cuts a prefix to max_session_len (the node count of
+    a prefix within it), and scored in chunks of EVAL_CHUNK by batched
+    forward passes with a shared read-only cache, so a chunk is padded
+    little. Each pair's rank is counted from its score row by
+    ``target_rank``; the catalog is never sorted. The metrics are summed over the ranks in split
     order, so the chunking cannot change their bytes. A cutoff below 1
     raises ValueError. A cutoff of at least the catalog size is allowed: the
     rank never exceeds it, so HR there is 1.

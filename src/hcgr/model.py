@@ -97,6 +97,10 @@ class HyperParams:
     aggregator: str = "multi_hop"
 
     def __post_init__(self):
+        for name in ("dim", "graph_layers", "attention_blocks", "max_session_len"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a float cannot size an array, and a bool is not a size
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
         if self.graph_layers < 1:
@@ -125,6 +129,10 @@ class BlockParams:
 
 @dataclass
 class ModelParams:
+    """Every trainable parameter, by attribute and by name in
+    ``expected_shapes`` order. ``from_arrays`` builds fresh and loaded
+    parameters alike."""
+
     embeddings: Tensor
     attn_w: Tensor
     attn_b: Tensor
@@ -133,44 +141,25 @@ class ModelParams:
     logit_scale: Tensor  # log of the catalog logit scale
     graph_kappa: list[Tensor]
     blocks: list[BlockParams]
+    by_name: dict[str, Tensor] = field(repr=False)  # every tensor above, in expected_shapes order
 
     @classmethod
     def init(cls, hyper: HyperParams, catalog_size: int, seed: int) -> "ModelParams":
-        """Gaussian(0, 0.1) initialization; curvature scalars start at k = 1
-        and the catalog logit scale at LOGIT_SCALE_INIT."""
+        """One generator draws Gaussian(0, 0.1) for each parameter in
+        ``expected_shapes`` order; a parameter with an ``initial_constant``
+        takes that value instead and draws nothing."""
         rng = np.random.default_rng(seed)
-        d = hyper.dim
-
-        def p(shape=()):
-            return Tensor(rng.normal(0.0, 0.1, shape), requires_grad=True)
-
-        embeddings = p((catalog_size, d))
-        attn_w = p((2 * d,))
-        attn_b = p()
-        fusion_logits = p((hyper.graph_layers + 1,))
-        gate_logit = p()
-        logit_scale = Tensor(np.array(math.log(LOGIT_SCALE_INIT)), requires_grad=True)
-        blocks = []
-        for _ in range(hyper.attention_blocks):
-            mats = [p((d, d)) for _ in range(5)]
-            biases = [p((d,)) for _ in range(2)]
-            blocks.append(
-                BlockParams(
-                    *mats,
-                    *biases,
-                    kappa=Tensor(manifold.KAPPA_RAW_FOR_UNIT_K, requires_grad=True),
-                )
-            )
-        graph_kappa = [
-            Tensor(manifold.KAPPA_RAW_FOR_UNIT_K, requires_grad=True)
-            for _ in range(hyper.graph_layers + 1)
-        ]
-        return cls(
-            embeddings, attn_w, attn_b, fusion_logits, gate_logit, logit_scale, graph_kappa, blocks
-        )
+        arrays = {}
+        for name, shape in expected_shapes(hyper, catalog_size).items():
+            value = initial_constant(name)
+            arrays[name] = rng.normal(0.0, 0.1, shape) if value is None else np.array(value)
+        return cls.from_arrays(hyper, catalog_size, arrays)
 
     @classmethod
     def from_arrays(cls, hyper: HyperParams, catalog_size: int, arrays: dict) -> "ModelParams":
+        """Parameters from a name -> array table, such as a checkpoint's. A
+        table whose names or shapes differ from ``expected_shapes`` raises
+        CheckpointError."""
         shapes = expected_shapes(hyper, catalog_size)
         missing = sorted(set(shapes) - set(arrays))
         extra = sorted(set(arrays) - set(shapes))
@@ -182,36 +171,18 @@ class ModelParams:
             if arr.shape != shape:
                 raise CheckpointError(f"parameter '{name}' has shape {arr.shape}, expected {shape}")
             tensors[name] = Tensor(arr, requires_grad=True)
-        blocks = [
-            BlockParams(**{f.name: tensors[f"block.{j}.{f.name}"] for f in fields(BlockParams)})
-            for j in range(hyper.attention_blocks)
-        ]
-        graph_kappa = [tensors[f"graph_kappa.{l}"] for l in range(hyper.graph_layers + 1)]
         return cls(
-            tensors["embeddings"],
-            tensors["attn_w"],
-            tensors["attn_b"],
-            tensors["fusion_logits"],
-            tensors["gate_logit"],
-            tensors["logit_scale"],
-            graph_kappa,
-            blocks,
+            **{f.name: tensors[f.name] for f in fields(cls) if f.name in tensors},
+            graph_kappa=[tensors[f"graph_kappa.{l}"] for l in range(hyper.graph_layers + 1)],
+            blocks=[
+                BlockParams(**{f.name: tensors[f"block.{j}.{f.name}"] for f in fields(BlockParams)})
+                for j in range(hyper.attention_blocks)
+            ],
+            by_name=tensors,
         )
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [
-            ("embeddings", self.embeddings),
-            ("attn_w", self.attn_w),
-            ("attn_b", self.attn_b),
-            ("fusion_logits", self.fusion_logits),
-            ("gate_logit", self.gate_logit),
-            ("logit_scale", self.logit_scale),
-        ]
-        for l, t in enumerate(self.graph_kappa):
-            out.append((f"graph_kappa.{l}", t))
-        for j, blk in enumerate(self.blocks):
-            out.extend((f"block.{j}.{f.name}", getattr(blk, f.name)) for f in fields(BlockParams))
-        return out
+        return list(self.by_name.items())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_parameters()}
@@ -226,6 +197,10 @@ class ModelParams:
 
 
 def expected_shapes(hyper: HyperParams, catalog_size: int) -> dict[str, tuple]:
+    """The parameter layout: each parameter's name and shape, in the order
+    that ``ModelParams.init`` draws them, ``named_parameters`` returns them
+    and a checkpoint stores them. Block j's entries are named
+    ``block.{j}.{field}`` after the fields of BlockParams."""
     shapes: dict[str, tuple] = {
         "embeddings": (catalog_size, hyper.dim),
         "attn_w": (2 * hyper.dim,),
@@ -243,6 +218,22 @@ def expected_shapes(hyper: HyperParams, catalog_size: int) -> dict[str, tuple]:
         shapes[f"block.{j}.ff_b2"] = (hyper.dim,)
         shapes[f"block.{j}.kappa"] = ()
     return shapes
+
+
+def initial_constant(name: str) -> float | None:
+    """The fixed starting value of parameter ``name``, or None for one that
+    ``ModelParams.init`` draws.
+
+    The curvatures start at k = 1 and the logit scale at LOGIT_SCALE_INIT.
+    The L2 penalty leaves them out: toward a softplus fixed point it would
+    be an arbitrary prior on a curvature, and it would pull the scale back
+    to 1, the uniform-softmax regime the scale exists to leave.
+    """
+    if name == "logit_scale":
+        return math.log(LOGIT_SCALE_INIT)
+    if name.startswith("graph_kappa.") or name.endswith(".kappa"):
+        return manifold.KAPPA_RAW_FOR_UNIT_K
+    return None
 
 
 @dataclass

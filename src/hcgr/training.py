@@ -13,11 +13,9 @@ one autodiff node with a closed-form gradient; no probability is clamped.
 A batch is scored by one forward pass over its padded SessionBatch, so its
 loss is one autodiff graph whose size does not grow with the batch: the
 catalog logits, the cross-entropy and the margin hinges each run once over
-(B, ...) tensors. The L2 penalty covers every parameter except the
-curvature scalars (shrinking those toward a softplus fixed point would be an
-arbitrary prior, not regularization) and the catalog logit scale (the
-penalty would pull the scale back to 1, the uniform-softmax regime it exists
-to leave).
+(B, ...) tensors. The L2 penalty covers every parameter that starts from a
+random draw; the curvature scalars and the catalog logit scale, which start
+at constants, are left out (``model.initial_constant`` gives the reasons).
 
 Optimization is plain Adam over the flat/tangent parameter arrays, swept in
 cache-sized row blocks; the manifold only enters through the forward pass,
@@ -35,8 +33,8 @@ import numpy as np
 from . import autodiff as ad
 from . import manifold
 from .autodiff import Tensor
-from .metrics import evaluate
-from .model import HCGRModel, ModelCaches
+from .metrics import RankingMetrics, evaluate
+from .model import HCGRModel, ModelCaches, initial_constant
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -108,8 +106,8 @@ class TrainState:
     # two scratch arrays per parameter for adam_step's in-place arithmetic,
     # each the size of the parameter or of one of its row blocks
     buffers: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
-    best_mrr: float = -np.inf
     best_epoch: int = 0
+    best_metrics: RankingMetrics | None = None  # the best epoch's validation metrics at K = 10 and 20
     best_arrays: dict[str, np.ndarray] | None = None
     history: list[dict] = field(default_factory=list)
 
@@ -125,6 +123,11 @@ class TrainState:
                 self.buffers[name] = (np.empty(shape), np.empty(shape))
         if self.best_arrays is None:
             self.best_arrays = self.model.params.state_arrays()
+
+    @property
+    def best_mrr(self) -> float:
+        """Validation MRR@20 of the best epoch, -inf before the first."""
+        return -np.inf if self.best_metrics is None else self.best_metrics.mrr[20]
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +229,12 @@ def contrastive_loss(anchor: Tensor, positive: Tensor, negatives: Tensor, margin
 
 
 def l2_penalty(model: HCGRModel) -> Tensor:
-    """Sum of squared entries over all parameters except the curvatures and
-    the logit scale."""
+    """Sum of squared entries over the parameters that ModelParams.init
+    draws; those with a ``model.initial_constant`` (the curvatures and the
+    logit scale) are left out."""
     total = None
     for name, t in model.params.named_parameters():
-        if "kappa" in name or name == "logit_scale":
+        if initial_constant(name) is not None:
             continue
         term = ad.tsum(ad.mul(t, t))
         total = term if total is None else ad.add(total, term)
@@ -378,7 +382,8 @@ def fit(
     """Train with early stopping on validation MRR@20.
 
     Returns the state with the best-epoch parameter snapshot restored into
-    the model. `log` receives one formatted line per epoch.
+    the model, and that epoch's validation metrics in ``best_metrics``.
+    `log` receives one formatted line per epoch.
     """
     if not train_pairs or not valid_pairs:
         raise ValueError("fit: training and validation splits must be nonempty")
@@ -398,8 +403,8 @@ def fit(
         if log is not None:
             log(line)
         if val.mrr[20] > state.best_mrr:
-            state.best_mrr = val.mrr[20]
             state.best_epoch = epoch
+            state.best_metrics = val
             state.best_arrays = model.params.state_arrays()
             stale = 0
         else:

@@ -1,12 +1,12 @@
 import csv
+import json
 import os
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from hcgr import cli
-from hcgr import manifold
+from hcgr import cli, dataset, manifold, metrics, training
 from hcgr.model import load_checkpoint
 from hcgr.training import TrainingNumericError
 
@@ -86,6 +86,32 @@ class TestPrepare:
         run("prepare", "--input", log, "--output", a, "--seed", "3")
         run("prepare", "--input", log, "--output", b, "--seed", "3")
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("thresholds", [(), ("--min-item-freq", "9", "--min-session-len", "5", "--max-session-len", "6")])
+    def test_statistics_are_those_of_the_filtered_log(self, tmp_path, capsys, seed, thresholds):
+        log = str(tmp_path / "synth.txt")
+        run("synth", "--items", "60", "--sessions", "300", "--seed", str(seed), "--output", log)
+        capsys.readouterr()
+        assert run("prepare", "--input", log, "--output", str(tmp_path / "p.json"), "--seed", str(seed), *thresholds) == 0
+        printed = capsys.readouterr().out.splitlines()
+        args = dict(zip(thresholds[::2], map(int, thresholds[1::2])))
+        sessions, _ = dataset.ingest(log)
+        stats = dataset.corpus_stats(dataset.filter_sessions(
+            sessions, args.get("--min-item-freq", 3), args.get("--min-session-len", 3), args.get("--max-session-len", 50)))
+        assert printed[0] == f"sessions={stats['sessions']} items={stats['items']} behaviors={stats['behaviors']}"
+        assert printed[1] == (f"avg_interactions_per_session={stats['avg_interactions_per_session']:.4f} "
+                              f"avg_interactions_per_item={stats['avg_interactions_per_item']:.4f}")
+        with open(tmp_path / "p.json", encoding="utf-8") as fh:
+            assert json.load(fh)["stats"] == stats
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "s1\ta b\ns2\tc d\n"])
+    def test_empty_or_fully_filtered_log_exits_2_without_output(self, tmp_path, text):
+        log = tmp_path / "log.txt"
+        log.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("prepare", "--input", str(log), "--output", str(out / "p.json"), "--seed", "0") == 2
+        assert not out.exists()
 
     def test_malformed_input_exits_2(self, tmp_path, capsys):
         log = tmp_path / "bad.txt"
@@ -168,6 +194,37 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: prepared dataset")
         assert not out.exists()
 
+    def test_summary_is_the_best_epochs_validation(self, tmp_path, corpus, capsys, monkeypatch):
+        """The summary line reports the validation fit measured for the best
+        epoch, which is not the last here; validation runs once per epoch."""
+        evaluate, calls = metrics.evaluate, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("ks"))
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "evaluate", counted)
+        monkeypatch.setattr(training, "evaluate", counted)
+        ckpt = str(tmp_path / "out" / "model")
+        capsys.readouterr()
+        assert run("train", "--data", corpus, "--checkpoint-out", ckpt, "--dim", "6", "--epochs", "4",
+                   "--batch-size", "16", "--learning-rate", "0.05", "--seed", "5") == 0
+        printed = capsys.readouterr().out.splitlines()
+        epochs = [line for line in printed if line.startswith("epoch=")]
+        with open(tmp_path / "out" / "epoch-log.txt", encoding="utf-8", newline="") as fh:
+            assert fh.read() == "".join(line + "\n" for line in epochs)
+        assert calls == [(10, 20)] * len(epochs) == [(10, 20)] * 4
+        summary = printed[len(epochs)]
+        best = int(summary.split()[0].removeprefix("best_epoch="))
+        assert best < len(epochs)
+        # a fresh validation pass over the restored best-epoch parameters
+        val = evaluate(load_checkpoint(ckpt)[0], dataset.load_prepared(corpus).valid, ks=(10, 20))
+        assert summary == (
+            f"best_epoch={best} val_hr10={val.hr[10]:.6f} val_hr20={val.hr[20]:.6f} "
+            f"val_mrr10={val.mrr[10]:.6f} val_mrr20={val.mrr[20]:.6f}"
+        )
+        assert f"val_mrr20={val.mrr[20]:.6f} " in epochs[best - 1]
+
     def test_numeric_failure_exit_code(self, tmp_path, corpus, monkeypatch):
         def boom(*a, **kw):
             raise TrainingNumericError("epoch 1 batch 0: non-finite values produced by 'exp'")
@@ -224,6 +281,18 @@ class TestEval:
         assert run("eval", "--data", corpus, "--checkpoint", str(bad),
                    "--out", str(tmp_path / "x.csv")) == 2
         assert "hcgr-v2" in capsys.readouterr().err
+
+    def test_non_integer_size_in_checkpoint_exits_2(self, tmp_path, corpus, checkpoint, capsys):
+        with np.load(checkpoint) as npz:
+            arrays = dict(npz)
+        header = json.loads(arrays.pop("header").item())
+        header["hyperparams"]["dim"] = float(header["hyperparams"]["dim"])
+        bad = tmp_path / "float-dim"
+        with open(bad, "wb") as fh:
+            np.savez(fh, header=np.array(json.dumps(header)), **arrays)
+        capsys.readouterr()
+        assert run("eval", "--data", corpus, "--checkpoint", str(bad), "--out", str(tmp_path / "x.csv")) == 2
+        assert "dim must be an integer" in capsys.readouterr().err
 
     def test_catalog_mismatch_exits_2(self, tmp_path, corpus, checkpoint):
         log = str(tmp_path / "other.txt")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,8 +12,10 @@ from hcgr.model import (
     AGGREGATORS,
     MASK_LOGIT,
     CheckpointError,
+    CHECKPOINT_FORMAT,
     HCGRModel,
     HyperParams,
+    expected_shapes,
     load_checkpoint,
     save_checkpoint,
 )
@@ -36,6 +39,55 @@ class TestHyperParams:
             HyperParams(attention_blocks=0)
         with pytest.raises(ValueError):
             HyperParams(aggregator="other")
+
+    @pytest.mark.parametrize(
+        "size", [{"dim": 4.0}, {"graph_layers": True}, {"attention_blocks": 1.0}, {"max_session_len": 50.0}]
+    )
+    def test_sizes_must_be_ints(self, size):
+        name = next(iter(size))
+        with pytest.raises(ValueError, match=name):
+            HyperParams(**size)
+
+
+class TestParameterLayout:
+    # SHA-256 over name, shape, dtype and bytes of every parameter after
+    # HCGRModel.create, keyed by (dim, graph_layers, attention_blocks,
+    # catalog size, seed). Any change to the draw order or a starting value
+    # moves them.
+    CREATE_DIGESTS = {
+        (4, 1, 1, 6, 0): "7115c6a8c46dd76de49998c610063612c7df52b25a935122fe70464890a162f7",
+        (4, 3, 2, 9, 5): "7fae396cea9a1d0e4bf4a88b77515af0f173a1472cbeb5aa681765bf74299f3b",
+        (16, 2, 3, 40, 1): "5c14260612d0190fa6a02f81b06453036ac6faec3831a970a2eebcab608cdaab",
+        (16, 1, 2, 100, 11): "dcfff886dcb46b5b8df9c73f2fce26c720d687f981524928d92d87b424f2aadc",
+        (64, 3, 1, 120, 7): "f9a3c3acbb7f2970c4d065e9cf1bb63d1cccfe3d3e27028eef09ef34cb59a155",
+        (64, 2, 3, 33, 2): "bba1355f70ae4aca14e08280bfbf211fef71191b3414efa677faf4a85d225872",
+        (4, 2, 1, 1, 3): "5773c087854315c827e86800e79efbd5e9127957626c8bafdadc99aa3d1c00e1",
+        (16, 3, 3, 7, 4): "abf0a745262390ee902a08d351ba301df03556f293cab628c75c21c6332b6d7d",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CREATE_DIGESTS))
+    def test_create_draws_pinned_bytes(self, case):
+        dim, layers, blocks, catalog, seed = case
+        model = HCGRModel.create(HyperParams(dim=dim, graph_layers=layers, attention_blocks=blocks), catalog, seed)
+        h = hashlib.sha256()
+        for name, t in model.params.named_parameters():
+            h.update(f"{name}|{t.data.shape}|{t.data.dtype.str}|".encode())
+            h.update(t.data.tobytes())
+        assert h.hexdigest() == self.CREATE_DIGESTS[case]
+
+    @pytest.mark.parametrize("layers,blocks", [(1, 1), (3, 2), (2, 3)])
+    def test_named_parameters_follow_expected_shapes(self, layers, blocks):
+        hyper = HyperParams(dim=5, graph_layers=layers, attention_blocks=blocks)
+        model = HCGRModel.create(hyper, 7, seed=0)
+        shapes = expected_shapes(hyper, 7)
+        named = model.params.named_parameters()
+        assert [name for name, _ in named] == list(shapes)
+        assert [t.shape for _, t in named] == list(shapes.values())
+        p = model.params
+        attrs = [p.embeddings, p.attn_w, p.attn_b, p.fusion_logits, p.gate_logit, p.logit_scale, *p.graph_kappa]
+        attrs += [getattr(b, f) for b in p.blocks
+                  for f in ("w_query", "w_key", "w_value", "ff_w1", "ff_w2", "ff_b1", "ff_b2", "kappa")]
+        assert all(a is t for a, (_, t) in zip(attrs, named)) and len(attrs) == len(named)
 
 
 class TestEmbed:
@@ -360,6 +412,37 @@ class TestCheckpoint:
         np.savez(path2, **arrays)
         with pytest.raises(CheckpointError, match="attn_w"):
             load_checkpoint(path2)
+
+    @staticmethod
+    def _write_by_hand(path, hyperparams, arrays, catalog_size=5, rng_seed=3):
+        header = {"format": CHECKPOINT_FORMAT, "hyperparams": hyperparams,
+                  "catalog_size": catalog_size, "rng_seed": rng_seed}
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.array(json.dumps(header)), **arrays)
+
+    def test_hand_built_archive_loads(self, tmp_path):
+        hyperparams = {"dim": 3, "graph_layers": 2, "attention_blocks": 2, "max_session_len": 7, "aggregator": "gcn_mean"}
+        hyper = HyperParams(**hyperparams)
+        rng = np.random.default_rng(4)
+        arrays = {name: rng.normal(size=shape) for name, shape in expected_shapes(hyper, 5).items()}
+        path = tmp_path / "ckpt"
+        self._write_by_hand(path, hyperparams, arrays)
+        model, seed = load_checkpoint(str(path))
+        assert (model.hyper, model.catalog_size, seed) == (hyper, 5, 3)
+        for name, t in model.params.named_parameters():
+            assert t.data.tobytes() == arrays[name].tobytes(), name
+        assert model.params.blocks[1].ff_b2.data.tobytes() == arrays["block.1.ff_b2"].tobytes()
+        assert model.forward([0, 4, 0]).yhat.shape == (5,)
+
+    @pytest.mark.parametrize(
+        "size", [{"dim": 4.0}, {"graph_layers": True}, {"attention_blocks": 1.0}, {"max_session_len": 50.0}]
+    )
+    def test_non_integer_size_rejected(self, tmp_path, size):
+        model = tiny_model(seed=27, catalog=5)
+        path = tmp_path / "ckpt"
+        self._write_by_hand(path, {**model.hyper.__dict__, **size}, model.params.state_arrays())
+        with pytest.raises(CheckpointError, match=next(iter(size))):
+            load_checkpoint(str(path))
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = tiny_model(seed=27)

@@ -339,6 +339,22 @@ class TestTotalLoss:
         model.params.logit_scale.data += 10.0
         assert float(tr.l2_penalty(model).data) == before
 
+    def test_l2_covers_exactly_the_drawn_parameters(self):
+        """The penalty reaches the parameters whose starting values depend
+        on the seed, and no other."""
+        hyper = HyperParams(dim=4, graph_layers=2, attention_blocks=2)
+        model, other = (HCGRModel.create(hyper, 6, seed=s) for s in (1, 2))
+        drawn = {name for (name, a), (_, b) in zip(model.params.named_parameters(), other.params.named_parameters())
+                 if not np.array_equal(a.data, b.data)}
+        model.params.zero_grads()
+        penalty = tr.l2_penalty(model)
+        penalty.backward()
+        covered = {name for name, t in model.params.named_parameters() if np.any(t.grad != 0.0)}
+        assert covered == drawn
+        assert len(drawn) == 5 + 7 * 2  # embeddings, attn_w, attn_b, fusion_logits, gate_logit; 7 per block
+        assert float(penalty.data) == pytest.approx(
+            sum(float(np.sum(t.data**2)) for name, t in model.params.named_parameters() if name in drawn), rel=1e-14)
+
 
 class TestCatalogIndependence:
     """Per-batch work must not scale with the catalog: only the rows a batch
