@@ -8,17 +8,19 @@ the manifold is ``-1/k``. Index 0 is the time-like coordinate.
 Two API layers:
 
 * Batched functions suffixed ``_rows`` operate on autodiff tensors whose
-  last axis holds one point or tangent vector: ``(n, w)`` rows, or
-  ``(B, n, w)`` padded session batches. Points on the hyperboloid, and
-  tangents at any base point other than the origin, are (d+1)-wide; they
-  read the time coordinate as ``[..., 0:1]`` and the space block as
-  ``[..., 1:]``. The tangent space at the origin is R^d (its time
-  coordinate is identically 0), so tangents there are d-wide: ``exp_o_rows``
-  and ``hyp_activation_rows`` take them, ``log_o_rows`` returns them, and
-  the biases of ``transport_from_o_rows`` and ``hyp_bias_add_rows``
-  and the weights of ``hyp_matmul_rows`` act on them. All reduce over the
-  last axis and are fully differentiable (including through ``k``). The
-  network is built from these.
+  last axis holds one point or tangent vector: ``(n, w)`` rows, such as the
+  packed nodes of a session batch, or ``(B, n, w)`` padded slots.
+  ``weighted_log_rows``, which pairs the nodes of each session, also takes
+  packed rows and lays them out in the slots itself (``slot_layout``).
+  Points on the hyperboloid, and tangents at any base point other than the
+  origin, are (d+1)-wide; they read the time coordinate as ``[..., 0:1]``
+  and the space block as ``[..., 1:]``. The tangent space at the origin is
+  R^d (its time coordinate is identically 0), so tangents there are d-wide:
+  ``exp_o_rows`` and ``hyp_activation_rows`` take them, ``log_o_rows``
+  returns them, and the biases of ``transport_from_o_rows`` and
+  ``hyp_bias_add_rows`` and the weights of ``hyp_matmul_rows`` act on
+  them. All reduce over the last axis and are fully differentiable
+  (including through ``k``). The network is built from these.
 * A typed single-point API (:class:`LorentzPoint`, :class:`TangentVector`)
   with explicit validation, for tests, analyses and anything that wants the
   geometry without the autodiff machinery. Its tangents keep d+1
@@ -154,11 +156,16 @@ def log_map_rows(X: Tensor, Y: Tensor, k) -> Tensor:
     return ad.mul(u, ad.div(d, unorm))
 
 
-def weighted_log_rows(A: Tensor, X: Tensor, k) -> Tensor:
+def weighted_log_rows(A: Tensor, X: Tensor, k, slots: np.ndarray | None = None) -> Tensor:
     """Weighted sums of logarithms between the rows of one set of points, as
     one autodiff node: row i is sum_{j != i} A_ij log_{x_i}(x_j).
 
-    X is (..., n, d+1) and A is (..., n, n). Through the Lorentz Gram matrix
+    X is (..., n, d+1) and A is (..., n, n). With ``slots``, X holds packed
+    (N, d+1) rows instead, and so does the result: row r sits at flat
+    position slots[r] of A's (..., n) slots, and every other slot holds the
+    zero row. A must give the zero rows weight 0: they yield G = 0,
+    distance 0 and a finite coefficient, so the result stays finite, but
+    only weight 0 leaves the sums unchanged. Through the Lorentz Gram matrix
     G = <x_i, x_j>_L, log_{x_i}(x_j) = d_ij / |u_ij| (x_j + (G_ij / k) x_i)
     with d_ij = sqrt(k) arcosh(max(-G_ij / k, 1)) and |u_ij|^2 = G_ij^2 / k - k
     floored at MIN_SQ_NORM, so the sum is C X + diag(C G^T / k) X with
@@ -168,7 +175,8 @@ def weighted_log_rows(A: Tensor, X: Tensor, k) -> Tensor:
     arcosh's derivative is bounded as in ``ad.arcosh``.
     """
     A, X, k = ad.as_tensor(A), ad.as_tensor(X), ad.as_tensor(k)
-    x, a, kd = X.data, A.data, k.data
+    a, kd = A.data, k.data
+    x = X.data if slots is None else slot_layout(X.data, slots, a.shape[:-1])
     sk = np.sqrt(kd)
     mask = _flip_mask(x.shape[-1])
     xt = np.swapaxes(x, -1, -2)
@@ -186,6 +194,8 @@ def weighted_log_rows(A: Tensor, X: Tensor, k) -> Tensor:
     self_coef = (C * G).sum(axis=-1, keepdims=True) / kd
 
     def back(g):
+        if slots is not None:
+            g = slot_layout(g, slots, a.shape[:-1])
         g_self = (g * x).sum(axis=-1, keepdims=True)
         gX = np.swapaxes(C, -1, -2) @ g + g * self_coef
         g_C = (g @ xt + (g_self / kd) * G) * off_diag
@@ -203,9 +213,23 @@ def weighted_log_rows(A: Tensor, X: Tensor, k) -> Tensor:
             - (g_self * self_coef).sum() / kd
             + (g_dist * acosh).sum() / (2.0 * sk)
         )
+        if slots is not None:
+            gX = gX.reshape(-1, gX.shape[-1])[slots]
         return ((A, g_C * dist * inv), (X, gX), (k, np.asarray(g_k)))
 
-    return ad.primitive(C @ x + x * self_coef, "weighted_log_rows", (A, X, k), back)
+    out = C @ x + x * self_coef
+    if slots is not None:
+        out = out.reshape(-1, out.shape[-1])[slots]
+    return ad.primitive(out, "weighted_log_rows", (A, X, k), back)
+
+
+def slot_layout(rows: np.ndarray, slots: np.ndarray, lead: tuple) -> np.ndarray:
+    """Packed (N, ...) rows laid out as lead + (...): row r at flat slot
+    slots[r] of the lead axes, zeros in the other slots. A plain array, not
+    an autodiff node: the ops that take packed rows call it on their data."""
+    out = np.zeros((math.prod(lead),) + rows.shape[1:])
+    out[slots] = rows
+    return out.reshape(lead + rows.shape[1:])
 
 
 def exp_o_rows(V: Tensor, k) -> Tensor:

@@ -20,27 +20,35 @@ the node itself. Attention runs over the undirected union weights
 count(i->j) + count(j->i), the self-loop counted once.
 
 The pipeline runs on batches. ``HCGRModel.batch`` turns B sessions into a
-SessionBatch: node ids padded to the longest session's n_max nodes, a
-(B, n_max, n_max) graph-attention offset (log union weight on neighbour
-pairs, MASK_LOGIT elsewhere) and a (B, 1, n_max) self-attention key mask.
-``build_graph`` and ``neighborhood`` compute the graphs of the whole batch
-at once from its flat clicks.
-``forward`` then runs every stage once over the batch, reads out each
-session's last node, and scores the catalog with one (B, V) product.
+SessionBatch. Its N real nodes are packed rows, session after session and
+each session's nodes in slot order. For the two attention computations it
+also lays them out in slots padded to the longest session's n_max nodes,
+with a (B, n_max, n_max) graph-attention offset (log union weight on
+neighbour pairs, MASK_LOGIT elsewhere), a (B, 1, n_max) self-attention key
+mask and the flat slot of each packed row. ``build_graph`` and
+``neighborhood`` compute the graphs of the whole batch at once from its
+flat clicks. ``forward`` then runs every stage once over the batch, reads
+out each session's last node by its packed row, and scores the catalog with
+one (B, V) product.
 
-Stages hand each other (B, n_max, d) tangents at the origin. Each graph
+Stages hand each other packed (N, d) tangents at the origin. Each graph
 layer and each attention block has its own curvature, and moving between
 them through the origin, exp_o under the next curvature of log_o under the
 last, is the identity on these tangents. So a stage maps onto its own
-hyperboloid, as (B, n_max, d+1) points, only where a manifold operation
-needs points: the Gram matrix and the logarithms at each node in graph
+hyperboloid, as (N, d+1) points, only where a manifold operation needs
+points: the Gram matrix and the logarithms at each node in graph
 attention, and the hyperbolic biases in each block's feed-forward.
 
-Padding slots repeat a valid item, so every manifold op stays finite on
-them; each neighbours only itself and is masked as a key, so no real node
-attends to it, it changes no real node's output and it receives exactly
-zero gradient. Training, evaluation and single-session requests all go
-through this path; one session is a batch of one.
+Padding exists only inside the two attention computations: the pair
+scores and the weighted logarithms of graph attention, and the scores,
+softmax and weighted values of self-attention. Each of these three is one
+autodiff node that lays its packed input rows out in the slots, zero rows
+in the padding, and gathers its output rows back. A padding slot
+neighbours only itself and is masked as a key, so no real node attends to
+it and it changes no real node's output. Every other stage (the maps, the
+fusion, the projections and the feed-forward) computes the N real rows
+only. Training, evaluation and single-session requests all go through this
+path; one session is a batch of one without padding, N = n_max.
 
 Every trainable parameter is an unconstrained array in the tangent space at
 the origin (or a plain Euclidean matrix/scalar); the manifold structure
@@ -250,16 +258,20 @@ class ModelCaches:
 
 @dataclass
 class SessionBatch:
-    """Sessions padded to a common node count for one batched forward pass.
+    """The nodes of several sessions, packed as rows and laid out in padded
+    slots, for one batched forward pass.
 
-    Session b fills the first slots of row b, one per distinct item in
-    first-occurrence order; the slots after them are padding.
+    Session b fills the first slots of slot row b, one per distinct item in
+    first-occurrence order; the slots after them are padding. The row-wise
+    stages see only the N real slots, as packed rows in session-major slot
+    order; the two attention computations see the (B, n_max) slots.
     """
 
     node_ids: np.ndarray  # (B, n_max) item of each slot; padding holds item 0
     bias: np.ndarray  # (B, n_max, n_max) graph-attention logit offsets
     key_mask: np.ndarray  # (B, 1, n_max) self-attention logit offsets
-    last: np.ndarray  # (B,) slot of each session's last click
+    slots: np.ndarray  # (N,) flat slot b * n_max + i of each packed row
+    last_row: np.ndarray  # (B,) packed row of each session's last click
 
 
 @dataclass
@@ -269,7 +281,8 @@ class Traces:
     For one session the arrays are (n, n) attention matrices and (n, d+1)
     points, and node_items holds the item of each node slot; for a
     SessionBatch the arrays keep the leading batch axis and padding slots,
-    and node_items is empty. ``points`` (with collect_points=True)
+    where each point is the origin, and node_items is empty. ``points``
+    (with collect_points=True)
     holds each stage's output tangents mapped onto that stage's hyperboloid:
     "embed" and "graph_layer_l" under graph_k[0] and graph_k[l], "fused"
     under graph_k[-1], "block_j" under block_k[j].
@@ -406,7 +419,8 @@ class HCGRModel:
 
     # -- forward pass -----------------------------------------------------
     def batch(self, sessions) -> SessionBatch:
-        """Padded node ids and attention masks of several sessions.
+        """The packed node rows, padded slots and attention masks of several
+        sessions.
 
         Each session is cut to its most recent max_session_len clicks. Real
         slots get the log union weight of each neighbour as graph-attention
@@ -427,14 +441,14 @@ class HCGRModel:
         pad_b, pad_i = np.nonzero(pad)
         bias[pad_b, pad_i, pad_i] = 0.0
         key_mask = np.where(pad, MASK_LOGIT, 0.0)[:, None, :]
-        return SessionBatch(node_ids, bias, key_mask, last)
+        return SessionBatch(node_ids, bias, key_mask, np.flatnonzero(~pad), np.cumsum(sizes) - sizes + last)
 
     def forward(self, items, caches: ModelCaches | None = None, collect_points: bool = False) -> ForwardResult:
         """Scaled catalog logits for one session (item ids) or a SessionBatch.
 
-        Both run the same batched pipeline over (B, n_max, d) origin
-        tangents; one session is a batch of one whose result drops the batch
-        axis.
+        Both run the same batched pipeline over packed (N, d) origin
+        tangents, one row per real node; one session is a batch of one,
+        without padding, whose result drops the batch axis.
         """
         single = not isinstance(items, SessionBatch)
         sb = self.batch([items]) if single else items
@@ -444,11 +458,11 @@ class HCGRModel:
         traces = Traces(node_items=tuple(sb.node_ids[0].tolist()) if single else ())
         stage_tangents: dict[str, tuple[Tensor, Tensor]] = {}
 
-        T = ad.take_rows(p.embeddings, sb.node_ids)
+        T = ad.take_rows(p.embeddings, sb.node_ids.reshape(-1)[sb.slots])
         stage_tangents["embed"] = (T, caches.graph_k[0])
         per_layer = [T]
         for l in range(1, self.hyper.graph_layers + 1):
-            T, attn = self._graph_attention(sb.bias, T, caches.graph_k[l])
+            T, attn = self._graph_attention(sb, T, caches.graph_k[l])
             traces.graph_attention.append(attn)
             per_layer.append(T)
             stage_tangents[f"graph_layer_{l}"] = (T, caches.graph_k[l])
@@ -459,13 +473,12 @@ class HCGRModel:
 
         E = Z
         for j, blk in enumerate(p.blocks):
-            E, attn = self._self_attention_block(E, sb.key_mask, blk, caches.block_k[j])
+            E, attn = self._self_attention_block(sb, E, blk, caches.block_k[j])
             traces.self_attention.append(attn)
             stage_tangents[f"block_{j}"] = (E, caches.block_k[j])
 
-        at_last = (np.arange(len(sb.last)), sb.last)
         gate = ad.sigmoid(p.gate_logit)
-        o_vec = ad.add(ad.mul(gate, E[at_last]), ad.mul(ad.sub(1.0, gate), Z[at_last]))
+        o_vec = ad.add(ad.mul(gate, E[sb.last_row]), ad.mul(ad.sub(1.0, gate), Z[sb.last_row]))
         traces.gate = float(gate.data)
 
         if single:
@@ -473,11 +486,11 @@ class HCGRModel:
             traces.graph_attention = [a[0] for a in traces.graph_attention]
             traces.self_attention = [a[0] for a in traces.self_attention]
         if collect_points:
+            traces.points = {}
             with ad.no_grad():
-                traces.points = {
-                    name: manifold.exp_o_rows(t, k).data[0 if single else slice(None)]
-                    for name, (t, k) in stage_tangents.items()
-                }
+                for name, (t, k) in stage_tangents.items():
+                    points = manifold.exp_o_rows(manifold.slot_layout(t.data, sb.slots, sb.node_ids.shape), k).data
+                    traces.points[name] = points[0] if single else points
         return ForwardResult(self.score(o_vec), o_vec, traces)
 
     def score(self, o_vec: Tensor) -> Tensor:
@@ -506,33 +519,27 @@ class HCGRModel:
         return ad.primitive(z, "catalog_logits", (o_vec, embeddings, logit_scale), back)
 
     # -- stages ------------------------------------------------------------
-    def _graph_attention(self, bias: np.ndarray, T: Tensor, k) -> tuple[Tensor, np.ndarray]:
+    def _graph_attention(self, sb: SessionBatch, T: Tensor, k) -> tuple[Tensor, np.ndarray]:
         """One round of neighborhood attention in the tangent bundle, from
-        and to origin tangents T of the nodes.
+        and to packed (N, d) origin tangents T of the nodes.
 
         The score of a pair (i, j) is LeakyReLU(a_row.T_i + a_col.T_j + b) plus
-        the pair's offset in ``bias`` (the log of the transition count, or
+        the pair's offset in ``sb.bias`` (the log of the transition count, or
         MASK_LOGIT off the neighbourhood). A linear score would lose the
         centre-node term and the bias to the row softmax's shift invariance;
         through the LeakyReLU they change the weights of any row whose scores
         straddle the kink. The nodes are mapped onto the hyperboloid of
-        curvature k once; weighted neighbor tangents (logarithms at the node)
-        are combined, mapped back with exp at the node, and the result is
-        handed on as its tangent at the origin.
+        curvature k once, as packed rows; only the pair scores and the
+        weighted sum of neighbor tangents (logarithms at the node) lay them
+        out in the (B, n_max) slots. The sums are mapped back with exp at the
+        node, and the result is handed on as its tangent at the origin.
         """
-        n = T.shape[-2]
         if self.hyper.aggregator == "gcn_mean":
-            logits = ad.constant(bias)
+            attn = ad.softmax_rows(ad.constant(sb.bias))
         else:
-            d = self.hyper.dim
-            a_row = ad.matmul(T, self.params.attn_w[:d])  # (B, n)
-            a_col = ad.matmul(T, self.params.attn_w[d:])  # (B, n)
-            pair = ad.add(ad.add(ad.reshape(a_row, (-1, n, 1)), ad.reshape(a_col, (-1, 1, n))), self.params.attn_b)
-            logits = ad.add(ad.leaky_relu(pair, ATTN_SLOPE), ad.constant(bias))
-        attn = ad.softmax_rows(logits)
-
+            attn = pair_attention(T, self.params.attn_w, self.params.attn_b, sb.bias, sb.slots)
         X = manifold.exp_o_rows(T, k)
-        agg = manifold.weighted_log_rows(attn, X, k)
+        agg = manifold.weighted_log_rows(attn, X, k, sb.slots)
         return manifold.log_o_rows(manifold.exp_map_rows(X, agg, k), k), attn.data
 
     def _fuse(self, per_layer: list[Tensor]) -> tuple[Tensor, np.ndarray]:
@@ -546,11 +553,13 @@ class HCGRModel:
             acc = term if acc is None else ad.add(acc, term)
         return acc, weights.data.copy()
 
-    def _self_attention_block(self, T: Tensor, key_mask: np.ndarray, blk: BlockParams, k) -> tuple[Tensor, np.ndarray]:
+    def _self_attention_block(self, sb: SessionBatch, T: Tensor, blk: BlockParams, k) -> tuple[Tensor, np.ndarray]:
         """Scaled dot-product self-attention and feed-forward, from and to
-        origin tangents T, with a tangent skip link. ``key_mask`` offsets the
-        logits of padding keys by MASK_LOGIT.
+        packed (N, d) origin tangents T, with a tangent skip link.
 
+        The projections and the feed-forward work on the packed rows; only
+        the attention itself lays them out in the (B, n_max) slots, where
+        ``sb.key_mask`` offsets the logits of padding keys by MASK_LOGIT.
         The attention works on the tangents themselves. The feed-forward maps
         onto the hyperboloid of curvature k only for its two hyperbolic
         biases, and takes each result back to the origin tangent space.
@@ -559,16 +568,85 @@ class HCGRModel:
         key = ad.matmul(T, blk.w_key)
         v = ad.matmul(T, blk.w_value)
         # 1/sqrt(d + 1), not 1/sqrt(d): the temperature the model and the oracle are defined with
-        scores = ad.div(ad.matmul(q, ad.transpose(key)), math.sqrt(self.hyper.dim + 1))
-        attn = ad.softmax_rows(ad.add(scores, ad.constant(key_mask)))
-        f_tan = ad.matmul(attn, v)  # log_o of the attention output point
+        f_tan, attn = self_attention(q, key, v, sb.key_mask, sb.slots, math.sqrt(self.hyper.dim + 1))
 
         h1 = manifold.exp_o_rows(ad.matmul(f_tan, ad.transpose(blk.ff_w1)), k)
         h1 = manifold.hyp_bias_add_rows(h1, blk.ff_b1, k)
         act_tan = ad.leaky_relu(manifold.log_o_rows(h1, k), 0.2)
         h2 = manifold.exp_o_rows(ad.matmul(act_tan, ad.transpose(blk.ff_w2)), k)
         h2 = manifold.hyp_bias_add_rows(h2, blk.ff_b2, k)
-        return ad.add(manifold.log_o_rows(h2, k), f_tan), attn.data
+        return ad.add(manifold.log_o_rows(h2, k), f_tan), attn
+
+
+def pair_attention(T: Tensor, attn_w: Tensor, attn_b: Tensor, bias: np.ndarray, slots: np.ndarray) -> Tensor:
+    """Graph-attention weights of packed (N, d) node tangents T, as one
+    autodiff node named pair_attention, laid out (B, n_max, n_max) like
+    ``bias``.
+
+    Row i of session b is the softmax over j of
+    LeakyReLU(a_row.T_i + a_col.T_j + attn_b) + bias[b, i, j], with
+    attn_w = (a_row, a_col). The two per-node terms are computed on the
+    packed rows and laid out in ``slots``; a padding slot's terms are 0, and
+    ``bias`` decides its weights. The forward runs the numpy operations of
+    the chain of primitives this replaces, in its order; the backward is
+    written out by hand.
+    """
+    lead = bias.shape[:-1]
+    t, w = T.data, attn_w.data
+    d = t.shape[-1]
+    a_row = manifold.slot_layout(t @ w[:d], slots, lead)
+    a_col = manifold.slot_layout(t @ w[d:], slots, lead)
+    pair = a_row[..., :, None] + a_col[..., None, :] + attn_b.data
+    logits = np.where(pair > 0, pair, ATTN_SLOPE * pair) + bias
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        g_logits = y * (g - (g * y).sum(axis=-1, keepdims=True))
+        g_pair = np.where(pair > 0, g_logits, ATTN_SLOPE * g_logits)
+        g_row = g_pair.sum(axis=-1).reshape(-1)[slots]
+        g_col = g_pair.sum(axis=-2).reshape(-1)[slots]
+        g_T = np.multiply.outer(g_row, w[:d]) + np.multiply.outer(g_col, w[d:])
+        g_w = np.concatenate([t.T @ g_row, t.T @ g_col])
+        return ((T, g_T), (attn_w, g_w), (attn_b, np.asarray(g_pair.sum())))
+
+    return ad.primitive(y, "pair_attention", (T, attn_w, attn_b), back)
+
+
+def self_attention(
+    q: Tensor, key: Tensor, v: Tensor, key_mask: np.ndarray, slots: np.ndarray, temperature: float
+) -> tuple[Tensor, np.ndarray]:
+    """Masked scaled dot-product attention of packed (N, d) query, key and
+    value rows within each session, as one autodiff node named
+    self_attention: softmax(q key^T / temperature + key_mask) v.
+
+    The rows are laid out in ``slots`` of the (B, n_max) slots of
+    ``key_mask`` (B, 1, n_max), padding slots holding zero rows. Returns the
+    packed (N, d) outputs and the (B, n_max, n_max) weights. The forward
+    runs the numpy operations of the chain of primitives this replaces, in
+    its order; the backward is written out by hand.
+    """
+    lead = key_mask.shape[0], key_mask.shape[-1]
+    qs, ks, vs = (manifold.slot_layout(t.data, slots, lead) for t in (q, key, v))
+    # the keys transposed contiguous, as ad.transpose copies a batch
+    scores = (qs @ np.swapaxes(ks, -1, -2).copy()) / temperature + key_mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+
+    def packed(a):
+        return a.reshape(-1, a.shape[-1])[slots]
+
+    def back(g):
+        g_out = manifold.slot_layout(g, slots, lead)
+        g_attn = g_out @ np.swapaxes(vs, -1, -2)
+        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) / temperature
+        return (
+            (q, packed(g_scores @ ks)),
+            (key, packed(np.swapaxes(g_scores, -1, -2) @ qs)),
+            (v, packed(np.swapaxes(attn, -1, -2) @ g_out)),
+        )
+
+    return ad.primitive(packed(attn @ vs), "self_attention", (q, key, v), back), attn
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +679,15 @@ def _not_a_checkpoint(path: str, reason) -> CheckpointError:
     return CheckpointError(f"{path} is not a checkpoint of format {CHECKPOINT_FORMAT!r}: {reason}")
 
 
+def _header_int(header: dict, name: str, default: int | None = None) -> int:
+    """The header entry ``name`` (``default`` when absent, if given), which
+    must be exactly an int, as HyperParams requires of its sizes."""
+    value = header[name] if default is None else header.get(name, default)
+    if type(value) is not int:  # int() would truncate 2.7 and parse "5"; a bool is not a count
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load_checkpoint(path: str) -> tuple[HCGRModel, int]:
     """Read a checkpoint written by save_checkpoint; any other file raises
     CheckpointError."""
@@ -623,8 +710,8 @@ def load_checkpoint(path: str) -> tuple[HCGRModel, int]:
             if header.get("format") != CHECKPOINT_FORMAT:
                 raise ValueError(f"the header names format {header.get('format')!r}")
             hyper = HyperParams(**header["hyperparams"])
-            catalog_size = int(header["catalog_size"])
-            seed = int(header.get("rng_seed", 0))
+            catalog_size = _header_int(header, "catalog_size")
+            seed = _header_int(header, "rng_seed", 0)
             arrays = {name: npz[name] for name in npz.files if name != "header"}
         params = ModelParams.from_arrays(hyper, catalog_size, arrays)
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:

@@ -10,7 +10,7 @@ uniformly sampled negative items. L_ce is the binary cross-entropy of the
 catalog softmax against the one-hot target,
 -log p_t - sum_{i != t} log(1 - p_i), computed from the scaled logits by
 one autodiff node with a closed-form gradient; no probability is clamped.
-A batch is scored by one forward pass over its padded SessionBatch, so its
+A batch is scored by one forward pass over its SessionBatch, so its
 loss is one autodiff graph whose size does not grow with the batch: the
 catalog logits, the cross-entropy and the margin hinges each run once over
 (B, ...) tensors. The L2 penalty covers every parameter that starts from a

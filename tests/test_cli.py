@@ -294,6 +294,19 @@ class TestEval:
         assert run("eval", "--data", corpus, "--checkpoint", str(bad), "--out", str(tmp_path / "x.csv")) == 2
         assert "dim must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, value", [("catalog_size", 2.7), ("catalog_size", "6"), ("rng_seed", 6.9)])
+    def test_non_integer_header_entry_exits_2(self, tmp_path, corpus, checkpoint, capsys, entry, value):
+        with np.load(checkpoint) as npz:
+            arrays = dict(npz)
+        header = json.loads(arrays.pop("header").item())
+        header[entry] = value
+        bad = tmp_path / "bad-header"
+        with open(bad, "wb") as fh:
+            np.savez(fh, header=np.array(json.dumps(header)), **arrays)
+        capsys.readouterr()
+        assert run("eval", "--data", corpus, "--checkpoint", str(bad), "--out", str(tmp_path / "x.csv")) == 2
+        assert f"{entry} must be an integer" in capsys.readouterr().err
+
     def test_catalog_mismatch_exits_2(self, tmp_path, corpus, checkpoint):
         log = str(tmp_path / "other.txt")
         run("synth", "--items", "20", "--sessions", "100", "--seed", "8", "--output", log)

@@ -1,5 +1,6 @@
-"""The fused manifold maps, softplus and the graph-attention aggregation,
-each one autodiff node, against the chains of primitives they replaced.
+"""The fused manifold maps, softplus, the graph-attention aggregation and
+the model's two attention nodes, each one autodiff node, against the chains
+of primitives they replaced.
 
 A fused op's forward runs its chain's numpy operations in the chain's order,
 so its value has the chain's bytes. Its hand-written backward agrees with
@@ -12,6 +13,7 @@ import pytest
 
 from hcgr import autodiff as ad
 from hcgr import manifold as mf
+from hcgr.model import ATTN_SLOPE, HCGRModel, HyperParams, pair_attention, self_attention
 
 from test_autodiff import check_grad
 
@@ -210,3 +212,99 @@ class TestFusedSoftplus:
         raw = ad.Tensor(np.array(0.3), requires_grad=True)
         k = mf.curvature_from_raw(raw)
         assert k._parents[0]._parents == (raw,)
+
+
+# -- packed rows: the model's batches ------------------------------------------
+
+# 4, 2 and 3 nodes in 4 slots, so 3 padding slots
+SESSIONS = [[0, 1, 2, 1, 3], [4, 5], [0, 2, 5, 2]]
+
+
+def _batch():
+    return HCGRModel.create(HyperParams(dim=D), 6, seed=0).batch(SESSIONS)
+
+
+def _to_slots(t, sb):
+    """Packed (N, w) rows laid out in the batch's slots, zero rows in the
+    padding, as a gather from the rows plus one zero row."""
+    n = t.shape[0]
+    index = np.full(sb.node_ids.size, n)
+    index[sb.slots] = np.arange(n)
+    rows = ad.concat([t, ad.constant(np.zeros((1, t.shape[-1])))], axis=0)
+    return ad.take_rows(rows, index.reshape(sb.node_ids.shape))
+
+
+def _from_slots(t, sb):
+    return ad.take_rows(ad.reshape(t, (-1, t.shape[-1])), sb.slots)
+
+
+def composed_pair_attention(sb):
+    def op(T, attn_w, attn_b):
+        a_row = _to_slots(ad.reshape(ad.matmul(T, attn_w[:D]), (-1, 1)), sb)  # (B, n, 1)
+        a_col = ad.transpose(_to_slots(ad.reshape(ad.matmul(T, attn_w[D:]), (-1, 1)), sb))  # (B, 1, n)
+        pair = ad.add(ad.add(a_row, a_col), attn_b)
+        return ad.softmax_rows(ad.add(ad.leaky_relu(pair, ATTN_SLOPE), ad.constant(sb.bias)))
+
+    return op
+
+
+def composed_self_attention(sb, temperature):
+    def op(q, key, v):
+        q, key, v = (_to_slots(t, sb) for t in (q, key, v))
+        scores = ad.div(ad.matmul(q, ad.transpose(key)), temperature)
+        attn = ad.softmax_rows(ad.add(scores, ad.constant(sb.key_mask)))
+        return _from_slots(ad.matmul(attn, v), sb)
+
+    return op
+
+
+def composed_packed_weighted_log(sb):
+    return lambda A, X, k: _from_slots(composed_weighted_log(A, _to_slots(X, sb), k), sb)
+
+
+class TestPackedAttentions:
+    """The three nodes that lay packed rows out in a batch's slots: forward
+    bytes and gradients of the chain that scatters, runs the padded chain and
+    gathers, and central differences."""
+
+    @staticmethod
+    def _check(fused, composed, arrays):
+        args = [ad.constant(a) for a in arrays]
+        assert fused(*args).data.tobytes() == composed(*args).data.tobytes()
+        _assert_grads_match(fused, composed, arrays)
+        check_grad(fused, *arrays)
+
+    def test_pair_attention(self):
+        sb = _batch()
+        rng = np.random.default_rng(7)
+        T, attn_w, attn_b = rng.normal(size=(len(sb.slots), D)), rng.normal(size=2 * D), np.array(0.1)
+        fused = lambda T, w, b: pair_attention(T, w, b, sb.bias, sb.slots)
+        self._check(fused, composed_pair_attention(sb), [T, attn_w, attn_b])
+        tensors = [ad.Tensor(a, requires_grad=True) for a in (T, attn_w, attn_b)]
+        assert fused(*tensors)._parents == tuple(tensors)
+
+    def test_self_attention(self):
+        sb = _batch()
+        rng = np.random.default_rng(8)
+        q, key, v = (rng.normal(size=(len(sb.slots), D)) for _ in range(3))
+        temperature = np.sqrt(D + 1)
+        fused = lambda q, key, v: self_attention(q, key, v, sb.key_mask, sb.slots, temperature)[0]
+        self._check(fused, composed_self_attention(sb, temperature), [q, key, v])
+        tensors = [ad.Tensor(a, requires_grad=True) for a in (q, key, v)]
+        out, attn = self_attention(*tensors, sb.key_mask, sb.slots, temperature)
+        assert out._parents == tuple(tensors) and attn.shape == sb.bias.shape
+        # no real query attends to a padding key
+        real = np.zeros(sb.node_ids.size, dtype=bool)
+        real[sb.slots] = True
+        real = real.reshape(sb.node_ids.shape)
+        assert np.all(attn[real[:, :, None] & ~real[:, None, :]] == 0.0)
+
+    def test_weighted_log_of_packed_rows(self):
+        sb = _batch()
+        rng = np.random.default_rng(9)
+        k = np.array(1.3)
+        X = _points(rng, (len(sb.slots),), k)
+        logits = rng.normal(size=sb.bias.shape)
+        fused = lambda L, X, k: mf.weighted_log_rows(ad.softmax_rows(ad.add(L, ad.constant(sb.bias))), X, k, sb.slots)
+        composed = composed_packed_weighted_log(sb)
+        self._check(fused, lambda L, X, k: composed(ad.softmax_rows(ad.add(L, ad.constant(sb.bias))), X, k), [logits, X, k])

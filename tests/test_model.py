@@ -294,7 +294,7 @@ class TestGateBlend:
         with ad.no_grad():
             k = model.caches().block_k[0]
             e_tan = mf.log_o_rows(ad.Tensor(out.traces.points["block_0"]), k).data
-        pos = model.batch([[0, 1, 2]]).last[0]
+        pos = model.batch([[0, 1, 2]]).last_row[0]
         assert np.abs(out.readout.data[1:] - e_tan[pos]).max() < 1e-12
 
     def test_gate_zero_blends_equally(self):
@@ -305,7 +305,7 @@ class TestGateBlend:
             caches = model.caches()
             e_tan = mf.log_o_rows(ad.Tensor(out.traces.points["block_0"]), caches.block_k[0]).data
             z_tan = mf.log_o_rows(ad.Tensor(out.traces.points["fused"]), caches.graph_k[-1]).data
-        pos = model.batch([[0, 1, 2]]).last[0]
+        pos = model.batch([[0, 1, 2]]).last_row[0]
         want = 0.5 * e_tan[pos] + 0.5 * z_tan[pos]
         assert np.abs(out.readout.data[1:] - want).max() < 1e-12
 
@@ -444,6 +444,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=next(iter(size))):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [{"catalog_size": 5.0}, {"catalog_size": 5.9}, {"catalog_size": "5"}, {"catalog_size": True},
+         {"rng_seed": 2.7}, {"rng_seed": "5"}, {"rng_seed": False}, {"rng_seed": None}],
+    )
+    def test_non_integer_header_entry_rejected(self, tmp_path, entry):
+        # int() would load 5.9 as 5 and "5" as 5; True would pass as 1
+        model = tiny_model(seed=27, catalog=5)
+        name, value = next(iter(entry.items()))
+        path = tmp_path / "ckpt"
+        self._write_by_hand(path, model.hyper.__dict__, model.params.state_arrays(), **entry)
+        with pytest.raises(CheckpointError, match=f"{name} must be an integer, got {value!r}"):
+            load_checkpoint(str(path))
+
+    def test_missing_seed_loads_as_zero(self, tmp_path):
+        model = tiny_model(seed=27, catalog=5)
+        path = tmp_path / "ckpt"
+        header = {"format": CHECKPOINT_FORMAT, "hyperparams": model.hyper.__dict__, "catalog_size": 5}
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.array(json.dumps(header)), **model.params.state_arrays())
+        assert load_checkpoint(str(path))[1] == 0
+
     def test_missing_parameter_rejected(self, tmp_path):
         model = tiny_model(seed=27)
         path = str(tmp_path / "ckpt.json")
@@ -490,7 +512,7 @@ class TestBatchForward:
     def test_padding_slots_are_masked(self):
         model = self._model()
         sb = model.batch([[4], [0, 1, 2]])
-        assert sb.node_ids.shape == (2, 3) and sb.last.tolist() == [0, 2]
+        assert sb.node_ids.shape == (2, 3) and sb.slots.tolist() == [0, 3, 4, 5] and sb.last_row.tolist() == [0, 3]
         assert sb.key_mask[0, 0].tolist() == [0.0, MASK_LOGIT, MASK_LOGIT]
         # a padding slot neighbours only itself
         assert np.array_equal(sb.bias[0, 1], [MASK_LOGIT, 0.0, MASK_LOGIT])
@@ -511,25 +533,28 @@ class TestBatchForward:
 
     @staticmethod
     def _batch_reference(model, sessions):
-        """node_ids, bias, key_mask and last of HCGRModel.batch, built node by
-        node from the oracle's session graphs and union neighbourhoods."""
+        """node_ids, bias, key_mask, slots and last_row of HCGRModel.batch,
+        built node by node from the oracle's session graphs and union
+        neighbourhoods."""
         graphs = [oracle.build_graph(list(items)[-model.hyper.max_session_len :]) for items in sessions]
         n_max = max(len(nodes) for nodes, _, _ in graphs)
         uniform = model.hyper.aggregator == "gcn_mean"
         node_ids = np.zeros((len(graphs), n_max), dtype=np.intp)
         bias = np.full((len(graphs), n_max, n_max), MASK_LOGIT)
         key_mask = np.zeros((len(graphs), 1, n_max))
-        for b, (nodes, _, edges) in enumerate(graphs):
+        slots, last_row = [], []
+        for b, (nodes, last_pos, edges) in enumerate(graphs):
             n = len(nodes)
             node_ids[b, :n] = nodes
+            last_row.append(len(slots) + last_pos)
+            slots.extend(b * n_max + i for i in range(n))
             for i in range(n):
                 for j, w in oracle.union_neighbors(edges, n, i):
                     bias[b, i, j] = 0.0 if uniform else math.log(w)
             pad = np.arange(n, n_max)
             bias[b, pad, pad] = 0.0
             key_mask[b, 0, n:] = MASK_LOGIT
-        last = np.array([last_pos for _, last_pos, _ in graphs], dtype=np.intp)
-        return node_ids, bias, key_mask, last
+        return node_ids, bias, key_mask, np.array(slots, dtype=np.intp), np.array(last_row, dtype=np.intp)
 
     @pytest.mark.parametrize("aggregator", AGGREGATORS)
     def test_batch_arrays_byte_equal_neighborhood_build(self, aggregator):
@@ -545,8 +570,9 @@ class TestBatchForward:
         for net, cases in ((model, batches), (wide, wide_batches)):
             for sessions in cases:
                 sb = net.batch(sessions)
-                got = (sb.node_ids, sb.bias, sb.key_mask, sb.last)
-                for name, a, r in zip(("node_ids", "bias", "key_mask", "last"), got, self._batch_reference(net, sessions)):
+                got = (sb.node_ids, sb.bias, sb.key_mask, sb.slots, sb.last_row)
+                names = ("node_ids", "bias", "key_mask", "slots", "last_row")
+                for name, a, r in zip(names, got, self._batch_reference(net, sessions)):
                     assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes(), (name, sessions)
 
 
@@ -590,6 +616,32 @@ class TestTangentInterface:
         model = tiny_model(seed=31, graph_layers=layers, attention_blocks=blocks, aggregator=aggregator)
         model.forward(model.batch([[0, 1, 2, 1], [3, 4]]))
         assert calls == {"exp_o_rows": layers + 2 * blocks, "log_o_rows": layers + 2 * blocks}
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("layers, blocks", [(1, 1), (2, 2)])
+    def test_maps_take_only_the_real_node_rows(self, monkeypatch, aggregator, layers, blocks):
+        # outside the two attentions no stage computes a padding slot: every
+        # manifold map of a batch receives one row per real node
+        shapes = []
+        for name in ("exp_o_rows", "log_o_rows", "exp_map_rows", "transport_from_o_rows", "weighted_log_rows"):
+            fn = getattr(mf, name)
+
+            def recorded(*args, _name=name, _fn=fn):
+                rows = [getattr(a, "shape", ())[:-1] for a in args]
+                # weighted_log_rows's weights keep the (B, n_max, n_max) slots
+                shapes.append((_name, rows[1:2] if _name == "weighted_log_rows" else [r for r in rows if r]))
+                return _fn(*args)
+
+            monkeypatch.setattr(mf, name, recorded)
+        sessions = [[0, 1, 2, 1], [3, 4], [5], [1, 2, 3, 1, 2, 0, 5, 4]]
+        model = tiny_model(seed=31, graph_layers=layers, attention_blocks=blocks, aggregator=aggregator)
+        sb = model.batch(sessions)
+        n_real = sum(len(set(s)) for s in sessions)
+        assert sb.node_ids.size > n_real
+        model.forward(sb)
+        assert [name for name, _ in shapes].count("exp_map_rows") == layers + 2 * blocks
+        for name, rows in shapes:
+            assert rows and all(r == (n_real,) for r in rows), (name, rows)
 
     def test_no_point_transfer_between_curvatures(self):
         assert not hasattr(mf, "transfer_rows")
