@@ -24,7 +24,10 @@ any rank, and ``take_rows`` gathers by an index array of any shape.
 Indexing a tensor with a basic slice (``X[..., 1:]``) and transposing a 2-D
 tensor return views of its data rather than copies. Nothing may write into
 a node's ``.data`` in place while a graph that uses it is alive; the
-optimizer updates parameters only after backward.
+optimizer updates parameters only after backward. A primitive may compute
+in place only over arrays it allocated itself, as ``softmax_in_place`` does
+over the copy ``softmax_rows`` makes; it never overwrites an input, a
+parent's ``.data`` or a gradient it receives.
 
 Every primitive checks its forward value for NaN/Inf and raises
 :class:`NumericError` naming the offending operation, so numerical blowups
@@ -57,6 +60,7 @@ __all__ = [
     "tsum",
     "mean",
     "softmax_rows",
+    "softmax_in_place",
     "exp",
     "log",
     "sqrt",
@@ -502,14 +506,27 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return div(tsum(a, axis=axis, keepdims=keepdims), float(n))
 
 
+def softmax_in_place(z: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax along the last axis, written over ``z``,
+    which the caller must own; returns ``z``.
+
+    It shifts each row by its maximum, exponentiates and divides by the row
+    sum: the numpy operations, in their order, of the allocating formula
+    ``e = exp(z - max); e / sum(e)``, so the bytes are that formula's.
+    """
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
 def softmax_rows(a) -> Tensor:
-    """Numerically stable softmax along the last axis, at any rank >= 1."""
+    """Numerically stable softmax along the last axis, at any rank >= 1,
+    computed in place over a copy of the input, its one output array."""
     a = as_tensor(a)
     if a.data.ndim == 0:
         raise ValueError("softmax_rows requires at least one axis")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = softmax_in_place(a.data.copy(order="K"))
 
     def back(g):
         dot = (g * y).sum(axis=-1, keepdims=True)

@@ -6,7 +6,9 @@ broken by ascending item id. The target is a single item, so NDCG reduces to
 zeroed when the target falls outside the cutoff. Evaluation needs only that
 rank, so it counts it from the score row instead of sorting the catalog. It
 scores the pairs in chunks of sessions with similar node counts, so a chunk
-is padded little, and sums the metrics in split order.
+is padded little, and sums the metrics in split order. A chunk's score rows
+are its catalog probabilities, computed in place over its own logits, so
+the chunk holds one catalog-sized array.
 """
 
 from __future__ import annotations
@@ -103,11 +105,16 @@ def evaluate(model, pairs, ks=(10, 20)) -> RankingMetrics:
     ``HCGRModel.batch`` cuts a prefix to max_session_len (the node count of
     a prefix within it), and scored in chunks of EVAL_CHUNK by batched
     forward passes with a shared read-only cache, so a chunk is padded
-    little. Each pair's rank is counted from its score row by
-    ``target_rank``; the catalog is never sorted. The metrics are summed over the ranks in split
-    order, so the chunking cannot change their bytes. A cutoff below 1
-    raises ValueError. A cutoff of at least the catalog size is allowed: the
-    rank never exceeds it, so HR there is 1.
+    little. Each chunk's logits are turned into its catalog probabilities
+    in place by ``autodiff.softmax_in_place``, bytes equal to
+    ``ForwardResult.yhat``'s, and each pair's rank is counted from its
+    probability row by ``target_rank``; the catalog is never sorted.
+    Overwriting the logits is safe: they belong to the chunk's own forward
+    result, and under ``no_grad`` no backward closure keeps them. The
+    metrics are summed over the ranks in split order, so the chunking
+    cannot change their bytes. A cutoff below 1 raises ValueError. A cutoff
+    of at least the catalog size is allowed: the rank never exceeds it, so
+    HR there is 1.
     """
     if not pairs:
         raise ValueError("evaluate: empty split")
@@ -120,8 +127,8 @@ def evaluate(model, pairs, ks=(10, 20)) -> RankingMetrics:
         caches = model.caches()
         for start in range(0, len(order), EVAL_CHUNK):
             chunk = order[start : start + EVAL_CHUNK]
-            yhat = model.forward(model.batch([pairs[i][0] for i in chunk]), caches=caches).yhat.data
-            for row, i in zip(yhat, chunk):
+            logits = model.forward(model.batch([pairs[i][0] for i in chunk]), caches=caches).logits.data
+            for row, i in zip(ad.softmax_in_place(logits), chunk):
                 ranks[i] = target_rank(row, pairs[i][1])
 
     hr = {k: 0.0 for k in ks}

@@ -9,7 +9,8 @@ representations through a learned gate, and score the whole catalog with
 tangent-space dot products, multiplied by a learned positive scale.
 ``forward`` returns these scaled logits; their softmax, the catalog
 probabilities, is computed when it is first read (``ForwardResult.yhat``),
-so training, whose loss works from the logits, never builds it.
+so training, whose loss works from the logits, never builds it, and
+evaluation computes it in place over each chunk's logits.
 
 A session's graph has one node per distinct item, in first-occurrence
 order, so "the last clicked item" is a well-defined node. Each consecutive
@@ -307,7 +308,8 @@ class ForwardResult:
     @cached_property
     def yhat(self) -> Tensor:
         """Catalog probabilities, softmax(logits) over the last axis,
-        computed on first read."""
+        computed on first read into one new array; ``logits`` keeps its
+        bytes."""
         return ad.softmax_rows(self.logits)
 
     @cached_property
@@ -501,15 +503,18 @@ class HCGRModel:
         item's embedding row (both tangents at the origin), multiplied by
         the learned scale s = exp(logit_scale). A (d,) readout gives (V,)
         through one matrix-vector product, a (B, d) batch (B, V) through one
-        matrix product against a transposed view of the embeddings. The
-        backward pass is written out by hand: g_o = (s g) E,
+        matrix product against a transposed view of the embeddings; the
+        product is scaled in place, so the logits are the one catalog-sized
+        array the forward allocates. The backward pass is written out by
+        hand: g_o = (s g) E,
         g_E = (s g)^T o, which numpy lays out contiguous like the table, and
         g_logit_scale = sum(g z).
         """
         embeddings, logit_scale = self.params.embeddings, self.params.logit_scale
         o, E = o_vec.data, embeddings.data
         s = np.exp(logit_scale.data)
-        z = s * (E @ o if o.ndim == 1 else o @ E.T)
+        z = E @ o if o.ndim == 1 else o @ E.T
+        z *= s
 
         def back(g):
             gs = s * g
@@ -597,9 +602,7 @@ def pair_attention(T: Tensor, attn_w: Tensor, attn_b: Tensor, bias: np.ndarray, 
     a_row = manifold.slot_layout(t @ w[:d], slots, lead)
     a_col = manifold.slot_layout(t @ w[d:], slots, lead)
     pair = a_row[..., :, None] + a_col[..., None, :] + attn_b.data
-    logits = np.where(pair > 0, pair, ATTN_SLOPE * pair) + bias
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = ad.softmax_in_place(np.where(pair > 0, pair, ATTN_SLOPE * pair) + bias)
 
     def back(g):
         g_logits = y * (g - (g * y).sum(axis=-1, keepdims=True))
@@ -629,9 +632,7 @@ def self_attention(
     lead = key_mask.shape[0], key_mask.shape[-1]
     qs, ks, vs = (manifold.slot_layout(t.data, slots, lead) for t in (q, key, v))
     # the keys transposed contiguous, as ad.transpose copies a batch
-    scores = (qs @ np.swapaxes(ks, -1, -2).copy()) / temperature + key_mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = ad.softmax_in_place((qs @ np.swapaxes(ks, -1, -2).copy()) / temperature + key_mask)
 
     def packed(a):
         return a.reshape(-1, a.shape[-1])[slots]

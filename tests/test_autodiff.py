@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hcgr import autodiff as ad
+from hcgr.model import MASK_LOGIT
 
 
 def central_diff(fn, x, h=1e-5):
@@ -291,3 +292,59 @@ class TestErrors:
         with ad.no_grad():
             y = ad.tsum(ad.mul(x, x))
         assert y._backward is None and not y.requires_grad
+
+
+def allocating_softmax(z):
+    """The softmax formula that allocates its shifted copy, exponentials and
+    probabilities: the bytes the in-place helper must reproduce."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_inputs():
+    """1-, 2- and 3-D logits with exact ties and masked entries, some laid
+    out along strided axes."""
+    rng = np.random.default_rng(11)
+    row = rng.normal(size=9) * 3.0
+    row[[2, 5, 7]] = row[4]
+    grid = rng.normal(size=(4, 6))
+    grid[1, 3:] = MASK_LOGIT
+    grid[2] = grid[2, 0]
+    grid[3, [0, 4]] = grid[3].max()
+    cube = rng.normal(size=(2, 3, 5))
+    cube[0, :, 0] = MASK_LOGIT
+    cube[1, 2] = 0.25
+    cube[1, 0, 1:3] = cube[1, 0, 4]
+    # rows of 40 along a strided axis: numpy sums them in another order
+    # than contiguous rows, so a copy must keep the input's layout
+    tall = rng.normal(size=(40, 3))
+    tall[:, 1] = tall[0, 1]
+    return [row, grid, cube, grid.T, cube[:, ::2, 1:], tall.T]
+
+
+class TestSoftmaxInPlace:
+    @pytest.mark.parametrize("index", range(6))
+    def test_helper_and_softmax_rows_give_the_allocating_bytes(self, index):
+        z = softmax_inputs()[index]
+        want = allocating_softmax(z)
+        owned = z.copy(order="K")
+        out = ad.softmax_in_place(owned)
+        assert out is owned
+        assert out.tobytes() == want.tobytes()
+        assert ad.softmax_rows(ad.constant(z)).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_softmax_rows_leaves_its_input_unchanged(self, index):
+        z = softmax_inputs()[index]
+        before = z.copy()
+        a = ad.constant(z)
+        assert a.data is z
+        ad.softmax_rows(a)
+        assert z.tobytes() == before.tobytes()
+
+    def test_masked_entries_get_exactly_zero_and_ties_equal_weight(self):
+        grid = softmax_inputs()[1]
+        y = ad.softmax_in_place(grid.copy())
+        assert np.all(y[1, 3:] == 0.0)
+        assert np.all(y[2] == y[2, 0])
+        assert y[3, 0] == y[3, 4]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +194,7 @@ class _Scores:
 
 @dataclass
 class _Result:
-    yhat: _Scores
+    logits: _Scores
 
 
 class _StubModel:
@@ -401,6 +402,68 @@ class TestSortedEvaluate:
         assert ranks == split_ranks == one_ranks
         want = split_order_metrics(split_ranks, ks)
         assert (result.hr, result.ndcg, result.mrr) == want
+
+
+class TestInPlaceEvaluate:
+    """evaluate turns each chunk's own logits into its probabilities in
+    place, so a chunk holds one catalog-sized array."""
+
+    def test_chunk_holds_one_catalog_array(self):
+        n_items = 20000
+        model = HCGRModel.create(HyperParams(dim=8), n_items, seed=6)
+        rng = np.random.default_rng(8)
+        pairs = [(rng.integers(0, n_items, size=rng.integers(1, 9)).tolist(), int(rng.integers(n_items))) for _ in range(mt.EVAL_CHUNK)]
+        mt.evaluate(model, pairs[:2])  # warm-up, outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mt.evaluate(model, pairs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * mt.EVAL_CHUNK * n_items * 8
+
+    def test_held_forward_results_keep_their_bytes(self):
+        n_items = 40
+        model = HCGRModel.create(HyperParams(dim=8), n_items, seed=9)
+        rng = np.random.default_rng(10)
+        pairs = [(rng.integers(0, n_items, size=rng.integers(1, 12)).tolist(), int(rng.integers(n_items))) for _ in range(50)]
+        held = [model.forward(pairs[0][0]), model.forward(model.batch([p for p, _ in pairs[:mt.EVAL_CHUNK]]))]
+        with ad.no_grad():
+            held.append(model.forward(model.batch([p for p, _ in pairs[-5:]]), caches=model.caches()))
+        before = [(r.logits.data.tobytes(), r.yhat.data.tobytes()) for r in held]
+        mt.evaluate(model, pairs)
+        assert [(r.logits.data.tobytes(), r.yhat.data.tobytes()) for r in held] == before
+
+    def test_ranks_come_from_probabilities(self):
+        # exp rounds a shift of -2**-60 to exactly 1: item 0's logit is below
+        # item 1's, but their probabilities tie, and the tie goes to id 0
+        row = np.array([-(2.0**-60), 0.0, -3.0])
+        yhat = ad.softmax_rows(ad.constant(row)).data
+        assert mt.target_rank(row, 0) == 2 and mt.target_rank(yhat, 0) == 1
+        result = mt.evaluate(_StubModel(lambda prefix: row.copy(), 3), [([1], 0)], ks=(1,))
+        assert result.hr == {1: 1.0}
+
+    def test_tied_logits_rank_as_one_session_probabilities(self, monkeypatch):
+        # duplicated embedding rows tie exactly in every logit row, and a
+        # tie is broken by item id
+        n_items = 60
+        model = HCGRModel.create(HyperParams(dim=8, graph_layers=2), n_items, seed=12)
+        E = model.params.embeddings.data
+        E[[7, 19, 33, 34]] = E[3]
+        E[[50, 51]] = E[20]
+        model.params.logit_scale.data[...] = 1.5
+        rng = np.random.default_rng(13)
+        tied = [3, 7, 19, 33, 34, 20, 50, 51]
+        pairs = [(rng.integers(0, n_items, size=rng.integers(1, 30)).tolist(), int(rng.choice(tied))) for _ in range(70)]
+        _, _, ranks = recorded_evaluate(monkeypatch, model, pairs, (1, 10, n_items))
+        want, n_tied = [], 0
+        for prefix, target in pairs:
+            yhat = model.forward(prefix).yhat.data
+            want.append(mt.target_rank(yhat, target))
+            n_tied += int(np.count_nonzero(yhat == yhat[target]) > 1)
+        assert ranks == want
+        assert n_tied == len(pairs)
 
 
 class TestPopularityAndHierarchy:

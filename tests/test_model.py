@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,38 @@ class TestScoring:
             logits = model.params.embeddings.data @ o_vec.data
         assert abs(y.sum() - 1.0) < 1e-9
         assert np.array_equal(np.argsort(-y, kind="stable"), np.argsort(-logits, kind="stable"))
+
+    def test_score_gives_the_allocating_bytes(self):
+        # the allocating formula scales a fresh copy of the product; score
+        # scales the product in place. Rows 1, 4 and 5 tie exactly.
+        model = tiny_model(seed=31, catalog=9)
+        E = model.params.embeddings.data
+        E[[4, 5]] = E[1]
+        model.params.logit_scale.data[...] = 1.7
+        s = np.exp(model.params.logit_scale.data)
+        rng = np.random.default_rng(32)
+        for o in (rng.normal(size=4), rng.normal(size=(3, 4)), np.zeros(4)):
+            want = s * (E @ o if o.ndim == 1 else o @ E.T)
+            z = model.score(ad.Tensor(o, requires_grad=True)).data
+            assert z.tobytes() == want.tobytes()
+            assert np.all(z[..., 4] == z[..., 1]) and np.all(z[..., 5] == z[..., 1])
+
+    def test_one_session_allocates_two_catalog_rows(self):
+        # a recommend request: the logits and the probabilities, each one
+        # (V,) array, as the product is scaled in place and the softmax
+        # works over its copy
+        model = HCGRModel.create(HyperParams(dim=8), 20000, seed=3)
+        with ad.no_grad():
+            model.forward([1, 2, 3]).yhat
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = model.forward([5, 9, 5, 14])
+                result.yhat
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.1 * result.logits.data.nbytes
 
     def test_duplicate_items_get_equal_probability(self):
         model = tiny_model(seed=19)
