@@ -58,7 +58,6 @@ __all__ = [
     "concat",
     "take_rows",
     "tsum",
-    "mean",
     "softmax_rows",
     "softmax_in_place",
     "exp",
@@ -67,7 +66,6 @@ __all__ = [
     "cosh",
     "sinh",
     "arcosh",
-    "tanh",
     "sigmoid",
     "relu",
     "leaky_relu",
@@ -124,9 +122,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -136,37 +131,6 @@ class Tensor:
         if self.data.shape != ():
             raise ValueError("backward requires a scalar tensor")
         _run_backward(self)
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return _getitem(self, key)
@@ -500,12 +464,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), back)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return div(tsum(a, axis=axis, keepdims=keepdims), float(n))
-
-
 def softmax_in_place(z: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis, written over ``z``,
     which the caller must own; returns ``z``.
@@ -600,16 +558,6 @@ def arcosh(a) -> Tensor:
         return ((a, g / np.sqrt(uc * uc - 1.0)),)
 
     return _node(np.arccosh(u), "arcosh", (a,), back)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.tanh(a.data)
-
-    def back(g):
-        return ((a, g * (1.0 - y * y)),)
-
-    return _node(y, "tanh", (a,), back)
 
 
 def sigmoid(a) -> Tensor:

@@ -5,26 +5,22 @@ where ``<x,y>_L = -x_0 y_0 + sum_i x_i y_i`` is the Lorentz inner product and
 ``k > 0`` is the (trainable) curvature parameter; the sectional curvature of
 the manifold is ``-1/k``. Index 0 is the time-like coordinate.
 
-Two API layers:
-
-* Batched functions suffixed ``_rows`` operate on autodiff tensors whose
-  last axis holds one point or tangent vector: ``(n, w)`` rows, such as the
-  packed nodes of a session batch, or ``(B, n, w)`` padded slots.
-  ``weighted_log_rows``, which pairs the nodes of each session, also takes
-  packed rows and lays them out in the slots itself (``slot_layout``).
-  Points on the hyperboloid, and tangents at any base point other than the
-  origin, are (d+1)-wide; they read the time coordinate as ``[..., 0:1]``
-  and the space block as ``[..., 1:]``. The tangent space at the origin is
-  R^d (its time coordinate is identically 0), so tangents there are d-wide:
-  ``exp_o_rows`` and ``hyp_activation_rows`` take them, ``log_o_rows``
-  returns them, and the biases of ``transport_from_o_rows`` and
-  ``hyp_bias_add_rows`` and the weights of ``hyp_matmul_rows`` act on
-  them. All reduce over the last axis and are fully differentiable
-  (including through ``k``). The network is built from these.
-* A typed single-point API (:class:`LorentzPoint`, :class:`TangentVector`)
-  with explicit validation, for tests, analyses and anything that wants the
-  geometry without the autodiff machinery. Its tangents keep d+1
-  coordinates at every base, the origin included.
+The geometry has one API: ``rowwise_inner`` and the batched ops suffixed
+``_rows``. Each takes autodiff tensors whose last axis holds one point or
+tangent vector, as ``(n, w)`` rows, such as the packed nodes of a session
+batch, or ``(B, n, w)`` padded slots; a single point is one ``(1, w)`` row.
+``weighted_log_rows``, which pairs the nodes of each session, also takes
+packed rows and lays them out in the slots itself (``slot_layout``). Points
+on the hyperboloid, and tangents at any base point other than the origin,
+are (d+1)-wide; they read the time coordinate as ``[..., 0:1]`` and the
+space block as ``[..., 1:]``. The tangent space at the origin is R^d (its
+time coordinate is identically 0), so tangents there are d-wide:
+``exp_o_rows`` and ``hyp_activation_rows`` take them, ``log_o_rows``
+returns them, and the biases of ``transport_from_o_rows`` and
+``hyp_bias_add_rows`` and the weights of ``hyp_matmul_rows`` act on them.
+All reduce over the last axis and are fully differentiable (including
+through ``k``). The network, the loss and ``hcgr check`` are built from
+them.
 
 Numerical guards: arguments of arcosh are floored at exactly 1 (so coincident
 points get distance exactly 0), squared norms are floored before square roots
@@ -38,7 +34,6 @@ compositions near the origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -375,168 +370,3 @@ def hyp_activation_rows(X: Tensor, act, k_from, k_to) -> Tensor:
     the origin is a fixed point.
     """
     return exp_o_rows(act(log_o_rows(X, k_from)), k_to)
-
-
-# ---------------------------------------------------------------------------
-# typed single-point API
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Curvature:
-    """Unconstrained curvature parameter with its positive derived value."""
-
-    kappa_raw: float
-
-    @property
-    def k(self) -> float:
-        x = self.kappa_raw
-        softplus = max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-        return softplus + CURVATURE_FLOOR
-
-
-@dataclass(frozen=True)
-class LorentzPoint:
-    """A point on the hyperboloid of curvature parameter k (coords[0] > 0)."""
-
-    coords: np.ndarray
-    k: float
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0] - 1
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A vector in the tangent space at ``base`` (Lorentz-orthogonal to it)."""
-
-    coords: np.ndarray
-    base: LorentzPoint
-
-
-def origin(d: int, k: float) -> LorentzPoint:
-    """The distinguished reference point (sqrt(k), 0, ..., 0)."""
-    coords = np.zeros(d + 1)
-    coords[0] = math.sqrt(k)
-    return LorentzPoint(coords, k)
-
-
-def lorentz_inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Lorentz inner product -x0*y0 + sum_i xi*yi of two raw coordinate vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 2:
-        raise ValueError(f"lorentz_inner needs equal 1-D arguments of dim >= 2, got {x.shape} and {y.shape}")
-    return float(-x[0] * y[0] + x[1:] @ y[1:])
-
-
-def lorentz_norm(v: TangentVector) -> float:
-    """sqrt(max(<v,v>_L, 0)); the clamp absorbs negative roundoff."""
-    return math.sqrt(max(lorentz_inner(v.coords, v.coords), 0.0))
-
-
-def _check_same_k(x: LorentzPoint, y: LorentzPoint, op: str):
-    if x.k != y.k:
-        raise ValueError(f"{op}: curvature mismatch ({x.k} vs {y.k})")
-
-
-def _check_base(v: TangentVector, x: LorentzPoint, op: str):
-    if v.base.k != x.k or not np.array_equal(v.base.coords, x.coords):
-        raise ValueError(f"{op}: tangent vector is not based at the given point")
-
-
-def _row(a: np.ndarray) -> Tensor:
-    return Tensor(a.reshape(1, -1))
-
-
-def distance(x: LorentzPoint, y: LorentzPoint) -> float:
-    """Geodesic distance sqrt(k) * arcosh(-<x,y>_L / k), clamped below at 0."""
-    _check_same_k(x, y, "distance")
-    if x.coords.shape != y.coords.shape:
-        raise ValueError("distance: dimension mismatch")
-    with ad.no_grad():
-        return float(dist_rows(_row(x.coords), _row(y.coords), x.k).data[0, 0])
-
-
-def exp_map(x: LorentzPoint, v: TangentVector) -> LorentzPoint:
-    """Follow the geodesic from x with initial velocity v for unit time."""
-    _check_base(v, x, "exp_map")
-    with ad.no_grad():
-        out = exp_map_rows(_row(x.coords), _row(v.coords), x.k)
-    return LorentzPoint(out.data[0].copy(), x.k)
-
-
-def log_map(x: LorentzPoint, y: LorentzPoint) -> TangentVector:
-    """Tangent vector at x pointing along the geodesic to y, of length d(x,y).
-
-    Coincident points return the zero vector (the continuous limit), which
-    downstream attention needs for self-loops.
-    """
-    _check_same_k(x, y, "log_map")
-    with ad.no_grad():
-        out = log_map_rows(_row(x.coords), _row(y.coords), x.k)
-    return TangentVector(out.data[0].copy(), x)
-
-
-def parallel_transport(x: LorentzPoint, y: LorentzPoint, v: TangentVector) -> TangentVector:
-    """Transport v from the tangent space at x to the tangent space at y.
-
-    Transporting to the same point is the identity and is returned as such.
-    """
-    _check_same_k(x, y, "parallel_transport")
-    _check_base(v, x, "parallel_transport")
-    if np.array_equal(x.coords, y.coords):
-        return TangentVector(v.coords.copy(), y)
-    with ad.no_grad():
-        out = transport_rows(_row(x.coords), _row(y.coords), _row(v.coords), x.k)
-    return TangentVector(out.data[0].copy(), y)
-
-
-def hyp_matmul(W: np.ndarray, x: LorentzPoint) -> LorentzPoint:
-    """exp_o(W log_o(x)): linear map through the tangent space at the origin."""
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[1] != x.coords.shape[0] or W.shape[0] < 2:
-        raise ValueError(f"hyp_matmul: weight shape {W.shape} does not act on dim {x.coords.shape[0]}")
-    with ad.no_grad():
-        # row 0 of W only feeds the time coordinate that exp_o drops, and
-        # column 0 only multiplies the 0 time coordinate of log_o(x)
-        out = hyp_matmul_rows(_row(x.coords), Tensor(W[1:, 1:]), x.k)
-    return LorentzPoint(out.data[0].copy(), x.k)
-
-
-def hyp_bias_add(x: LorentzPoint, b: TangentVector) -> LorentzPoint:
-    """exp_x of b parallel-transported from the origin to x."""
-    o = origin(x.dim, x.k)
-    _check_base(b, o, "hyp_bias_add")
-    with ad.no_grad():
-        out = hyp_bias_add_rows(_row(x.coords), Tensor(b.coords[1:]), x.k)
-    return LorentzPoint(out.data[0].copy(), x.k)
-
-
-def hyp_activation(x: LorentzPoint, act, k_next: float) -> LorentzPoint:
-    """Apply an elementwise activation in the tangent space at the origin,
-    mapping from the curvature of x onto the hyperboloid of k_next.
-
-    act operates on autodiff tensors (e.g. ``ad.relu``, ``ad.tanh``) and must
-    fix zero, otherwise the origin would not map to the origin.
-    """
-    with ad.no_grad():
-        probe = act(ad.constant(np.zeros((1, 2))))
-        if not np.allclose(probe.data, 0.0):
-            raise ValueError("hyp_activation: activation must map 0 to 0")
-        out = hyp_activation_rows(_row(x.coords), act, x.k, k_next)
-    return LorentzPoint(out.data[0].copy(), float(k_next))
-
-
-def project_to_hyperboloid(coords: np.ndarray, k: float) -> LorentzPoint:
-    """Force coordinates onto the hyperboloid by recomputing the time entry."""
-    coords = np.asarray(coords, dtype=np.float64)
-    out = coords.copy()
-    out[0] = math.sqrt(k + float(out[1:] @ out[1:]))
-    return LorentzPoint(out, float(k))
-
-
-def hyperboloid_violation(x: LorentzPoint) -> float:
-    """|<x,x>_L + k|, i.e. how far the point is off the constraint surface."""
-    return abs(lorentz_inner(x.coords, x.coords) + x.k)

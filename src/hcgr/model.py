@@ -404,16 +404,6 @@ class HCGRModel:
             k = self.caches().graph_k[0]
             return self.item_points(np.arange(self.catalog_size), k).data, k
 
-    # -- typed single-item view ------------------------------------------
-    def embed(self, item: int) -> manifold.LorentzPoint:
-        """Hyperbolic point of one item (analysis helper, no gradients)."""
-        if not 0 <= item < self.catalog_size:
-            raise ValueError(f"item id {item} out of range")
-        with ad.no_grad():
-            k = self.caches().graph_k[0]
-            coords = self.item_points([item], k).data[0]
-        return manifold.LorentzPoint(coords, float(k.data))
-
     def embedding_distances(self) -> np.ndarray:
         """Geodesic distance from the origin for every catalog item:
         d(o, exp_o(v)) = |v| for the item's tangent v, under any curvature."""

@@ -145,9 +145,6 @@ class TestPrimitiveGradients:
         check_grad(lambda t: ad.tsum(t, axis=0), A23)
         check_grad(lambda t: ad.tsum(t, axis=1, keepdims=True), A23)
 
-    def test_mean(self):
-        check_grad(ad.mean, A23)
-
     def test_softmax_rows(self):
         check_grad(ad.softmax_rows, A23)
         check_grad(ad.softmax_rows, A234)
@@ -161,10 +158,9 @@ class TestPrimitiveGradients:
     def test_sqrt(self):
         check_grad(ad.sqrt, POS23)
 
-    def test_cosh_sinh_tanh_sigmoid(self):
+    def test_cosh_sinh_sigmoid(self):
         check_grad(ad.cosh, A23)
         check_grad(ad.sinh, A23)
-        check_grad(ad.tanh, A23)
         check_grad(ad.sigmoid, A23)
 
     def test_arcosh(self):
@@ -348,3 +344,10 @@ class TestSoftmaxInPlace:
         assert np.all(y[1, 3:] == 0.0)
         assert np.all(y[2] == y[2, 0])
         assert y[3, 0] == y[3, 4]
+
+
+def test_every_public_name_resolves():
+    # a stale __all__ entry makes the star import raise AttributeError
+    namespace = {}
+    exec("from hcgr.autodiff import *", namespace)
+    assert set(ad.__all__) <= namespace.keys()

@@ -6,6 +6,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from hcgr import autodiff as ad
 from hcgr import cli, dataset, manifold, metrics, training
 from hcgr.model import load_checkpoint
 from hcgr.training import TrainingNumericError
@@ -353,7 +354,7 @@ class TestCheck:
         def warped(X, V, k):
             # exponentiate a slightly longer tangent: stays on the manifold,
             # breaks inversion against log_map
-            return true_exp(X, V * 1.001, k)
+            return true_exp(X, ad.mul(V, 1.001), k)
 
         monkeypatch.setattr(manifold, "exp_map_rows", warped)
         assert run("check", "--level", "quick") == 1

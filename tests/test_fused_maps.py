@@ -124,7 +124,7 @@ class TestFusedMaps:
             arrays = _inputs(name, lead, seed)
             args = [ad.constant(a) for a in arrays]
             assert getattr(mf, name)(*args).data.tobytes() == MAPS[name](*args).data.tobytes()
-            # a plain float curvature, as the typed single-point API passes
+            # a plain float curvature, as checks.manifold_check passes
             args[-1] = float(arrays[-1])
             assert getattr(mf, name)(*args).data.tobytes() == MAPS[name](*args).data.tobytes()
 

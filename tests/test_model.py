@@ -91,38 +91,39 @@ class TestParameterLayout:
         assert all(a is t for a, (_, t) in zip(attrs, named)) and len(attrs) == len(named)
 
 
-class TestEmbed:
+class TestItemPoints:
     def test_zero_row_maps_to_origin(self):
         model = tiny_model()
         model.params.embeddings.data[2] = 0.0
-        p = model.embed(2)
-        assert np.allclose(p.coords, mf.origin(4, p.k).coords, atol=1e-12)
+        pts, k = model.catalog_points()
+        assert np.allclose(pts[2], oracle.origin(4, float(k.data)), atol=1e-12)
 
     def test_on_hyperboloid(self):
         model = tiny_model(seed=3)
+        pts, k = model.catalog_points()
         for item in range(model.catalog_size):
-            assert mf.hyperboloid_violation(model.embed(item)) < 1e-8
+            assert abs(oracle.mink(pts[item], pts[item]) + float(k.data)) < 1e-8
 
     def test_unit_row_at_unit_distance(self):
         model = tiny_model()
         row = np.zeros(4)
         row[0] = 1.0
         model.params.embeddings.data[0] = row
-        p = model.embed(0)
-        assert abs(mf.distance(mf.origin(4, p.k), p) - 1.0) < 1e-9
+        k = model.caches().graph_k[0]
+        p = model.item_points([0], k)
+        o = ad.constant(oracle.origin(4, float(k.data))[None])
+        assert abs(float(mf.dist_rows(o, p, k).data[0, 0]) - 1.0) < 1e-9
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            tiny_model().embed(6)
-
-    def test_distances_match_typed_distance_from_origin(self):
+    def test_distances_match_distance_from_origin(self):
         model = tiny_model(seed=4, catalog=9)
         model.params.graph_kappa[0].data[...] = 0.7  # k away from 1
         model.params.embeddings.data[3] = 0.0
         dists = model.embedding_distances()
+        pts, k = model.catalog_points()
+        o = ad.constant(oracle.origin(4, float(k.data))[None])
+        from_origin = mf.dist_rows(o, ad.constant(pts), k).data[:, 0]
         for item in range(model.catalog_size):
-            p = model.embed(item)
-            assert abs(dists[item] - mf.distance(mf.origin(4, p.k), p)) < 1e-12, item
+            assert abs(dists[item] - from_origin[item]) < 1e-12, item
 
 
 class TestForwardBasics:
@@ -229,12 +230,12 @@ class TestGeometryInvariants:
         rng = np.random.default_rng(16)
         with ad.no_grad():
             caches = model.caches()
-            ks = {"embed": caches.graph_k[0].item()}
+            ks = {"embed": float(caches.graph_k[0].data)}
             for l in range(1, 3):
-                ks[f"graph_layer_{l}"] = caches.graph_k[l].item()
-            ks["fused"] = caches.graph_k[-1].item()
+                ks[f"graph_layer_{l}"] = float(caches.graph_k[l].data)
+            ks["fused"] = float(caches.graph_k[-1].data)
             for j in range(2):
-                ks[f"block_{j}"] = caches.block_k[j].item()
+                ks[f"block_{j}"] = float(caches.block_k[j].data)
         for _ in range(10):
             items = rng.integers(0, 20, size=rng.integers(1, 30)).tolist()
             out = model.forward(items, collect_points=True)
