@@ -45,6 +45,12 @@ def inner(x, y) -> float:
     return float(mf.rowwise_inner(row(x), row(y)).data[0, 0])
 
 
+def norm(v) -> float:
+    """Lorentz norm sqrt(<v,v>_L) of a tangent, the length the exponential
+    and logarithmic maps measure it by."""
+    return math.sqrt(inner(v, v))
+
+
 def distance(x, y, k) -> float:
     return float(mf.dist_rows(row(x), row(y), k).data[0, 0])
 
@@ -84,6 +90,23 @@ class TestLorentzInner:
             inner(np.ones(3), np.ones(4))
 
 
+class TestLorentzNorm:
+    def test_zero_vector(self):
+        assert norm(np.zeros(3)) == 0.0
+
+    def test_euclidean_part(self):
+        assert norm(np.array([0.0, 1.0, 0.0])) == 1.0
+
+    def test_scale_homogeneity(self):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            v = np.concatenate([[0.0], rng.normal(size=6)])
+            alpha = rng.normal()
+            n1 = norm(alpha * v)
+            n2 = abs(alpha) * norm(v)
+            assert abs(n1 - n2) <= 1e-12 * max(n2, 1e-300)
+
+
 class TestDistance:
     def test_self_distance_zero(self):
         o = oracle.origin(2, 1.0)
@@ -101,6 +124,13 @@ class TestDistance:
             k = rng.choice([0.5, 1.0, 2.0])
             x, y, z = (random_point(rng, 4, k) for _ in range(3))
             assert distance(x, z, k) <= distance(x, y, k) + distance(y, z, k) + 1e-9
+
+    def test_matches_straight_line_distance(self):
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            k = float(rng.choice([0.5, 1.0, 2.0]))
+            x, y = random_point(rng, 5, k), random_point(rng, 5, k)
+            assert abs(distance(x, y, k) - oracle.dist(x, y, k)) < 1e-9
 
 
 class TestExpLog:
@@ -144,6 +174,21 @@ class TestExpLog:
         for _ in range(50):
             x, y = random_point(rng, 6, 1.0), random_point(rng, 6, 1.0)
             assert abs(inner(log_map(x, y, 1.0), x)) < 1e-8
+
+    def test_exp_matches_straight_line_map(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            k = float(rng.choice([0.5, 1.0, 2.0]))
+            x = random_point(rng, 5, k)
+            v = random_tangent(rng, x, k)
+            assert np.abs(exp_map(x, v, k) - oracle.exp_map(x, v, k)).max() < 1e-9
+
+    def test_log_matches_straight_line_map(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            k = float(rng.choice([0.5, 1.0, 2.0]))
+            x, y = random_point(rng, 5, k), random_point(rng, 5, k)
+            assert np.abs(log_map(x, y, k) - oracle.log_map(x, y, k)).max() < 1e-9
 
 
 class TestParallelTransport:
@@ -241,6 +286,15 @@ class TestLinearOps:
             b = np.concatenate([[0.0], rng.normal(size=6)])
             assert violation(self.bias_add(x, b[1:], k), k) < 1e-8
 
+    def test_bias_add_against_stepwise_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            k = float(rng.choice([0.5, 1.0, 2.0]))
+            x = random_point(rng, 4, k)
+            b = np.concatenate([[0.0], rng.normal(size=4)])
+            want = oracle.hyp_bias_add(x, b, k)
+            assert np.abs(self.bias_add(x, b[1:], k) - want).max() < 1e-9
+
     def test_activation_identity(self):
         rng = np.random.default_rng(15)
         x = random_point(rng, 4, 1.0)
@@ -257,6 +311,15 @@ class TestLinearOps:
         x = exp_map(o, np.array([0.0, -1.0, -0.5, -2.0]), 1.0)
         out = self.activation(x, ad.relu, 1.0, 2.0)
         assert np.allclose(out, oracle.origin(3, 2.0), atol=1e-12)
+
+    def test_activation_against_stepwise_oracle(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            k_from, k_to = (float(c) for c in rng.choice([0.5, 1.0, 2.0], size=2))
+            x = random_point(rng, 4, k_from)
+            got = self.activation(x, lambda t: ad.leaky_relu(t, 0.2), k_from, k_to)
+            want = oracle.hyp_activation(x, lambda t: np.where(t > 0, t, 0.2 * t), k_from, k_to)
+            assert np.abs(got - want).max() < 1e-9
 
 
 class TestTimeRepair:
