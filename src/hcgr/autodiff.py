@@ -16,10 +16,12 @@ matrix. Anything else raises, (n,) against (n, 1) included, which catches
 most shape bugs in the d+1-dimensional bookkeeping this package does. The
 backward pass sums a broadcast gradient back onto each operand's shape.
 
-The model runs whole minibatches as (B, n, d+1) tensors, so ``matmul`` also
-takes a batch against a batch, a shared matrix or a vector, ``transpose``
-swaps the last two axes, ``softmax_rows`` normalises over the last axis at
-any rank, and ``take_rows`` gathers by an index array of any shape.
+The model's own ``matmul`` calls are 2-D, on the packed (N, d) node rows of
+a batch. ``matmul`` also takes a (B, n, d+1) batch against a batch, a shared
+matrix or a vector: the reference chains in ``tests/test_fused_maps.py``
+are built from those forms. ``transpose`` swaps the last two axes,
+``softmax_rows`` normalises over the last axis at any rank, and
+``take_rows`` gathers by an index array of any shape.
 
 Indexing a tensor with a basic slice (``X[..., 1:]``) and transposing a 2-D
 tensor return views of its data rather than copies. Nothing may write into

@@ -256,14 +256,15 @@ def cmd_analyze(args) -> int:
         with ad.no_grad():
             caches = model.caches()
             for s_idx, (prefix, _) in enumerate(ds.test[:10]):
-                traces = model.forward(prefix, caches=caches).traces
-                items = traces.node_items
-                for layer, mat in enumerate(traces.graph_attention, start=1):
+                sb = model.batch([prefix])
+                out = model.forward(sb, caches=caches)
+                items = sb.node_ids[0].tolist()
+                for layer, (mat,) in enumerate(out.graph_attention, start=1):
                     for i in range(mat.shape[0]):
                         for j in range(mat.shape[1]):
                             if mat[i, j] > 0.0:
                                 writer.writerow([s_idx, "graph", layer, items[i], items[j], repr(float(mat[i, j]))])
-                for block, mat in enumerate(traces.self_attention, start=1):
+                for block, (mat,) in enumerate(out.self_attention, start=1):
                     for i in range(mat.shape[0]):
                         for j in range(mat.shape[1]):
                             writer.writerow([s_idx, "self", block, items[i], items[j], repr(float(mat[i, j]))])

@@ -166,9 +166,10 @@ class ModelParams:
 
     @classmethod
     def from_arrays(cls, hyper: HyperParams, catalog_size: int, arrays: dict) -> "ModelParams":
-        """Parameters from a name -> array table, such as a checkpoint's. A
-        table whose names or shapes differ from ``expected_shapes`` raises
-        CheckpointError."""
+        """Parameters from a name -> array table, such as a checkpoint's, held
+        as C-contiguous float64 arrays (adam_step updates their flat views in
+        place). A table whose names or shapes differ from ``expected_shapes``
+        raises CheckpointError."""
         shapes = expected_shapes(hyper, catalog_size)
         missing = sorted(set(shapes) - set(arrays))
         extra = sorted(set(arrays) - set(shapes))
@@ -176,7 +177,7 @@ class ModelParams:
             raise CheckpointError(f"parameter set mismatch: missing={missing} extra={extra}")
         tensors = {}
         for name, shape in shapes.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
+            arr = np.asarray(arrays[name], dtype=np.float64, order="C")
             if arr.shape != shape:
                 raise CheckpointError(f"parameter '{name}' has shape {arr.shape}, expected {shape}")
             tensors[name] = Tensor(arr, requires_grad=True)
@@ -276,34 +277,15 @@ class SessionBatch:
 
 
 @dataclass
-class Traces:
-    """Attention weights captured during one forward pass.
-
-    For one session the arrays are (n, n) attention matrices and (n, d+1)
-    points, and node_items holds the item of each node slot; for a
-    SessionBatch the arrays keep the leading batch axis and padding slots,
-    where each point is the origin, and node_items is empty. ``points``
-    (with collect_points=True)
-    holds each stage's output tangents mapped onto that stage's hyperboloid:
-    "embed" and "graph_layer_l" under graph_k[0] and graph_k[l], "fused"
-    under graph_k[-1], "block_j" under block_k[j].
-    """
-
-    node_items: tuple[int, ...]
-    graph_attention: list[np.ndarray] = field(default_factory=list)
-    self_attention: list[np.ndarray] = field(default_factory=list)
-    fusion_weights: np.ndarray | None = None
-    gate: float = 0.0
-    points: dict[str, np.ndarray] | None = None
-
-
-@dataclass
 class ForwardResult:
     """Output of one forward pass."""
 
     logits: Tensor  # (V,) scaled catalog logits, (B, V) for a batch
     readout_tangent: Tensor  # (d,) origin tangent that ``score`` ranks the catalog with, (B, d) for a batch
-    traces: Traces
+    # attention weights per graph layer and per block: (n, n) for one
+    # session, (B, n_max, n_max) with the padding slots for a batch
+    graph_attention: list[np.ndarray]
+    self_attention: list[np.ndarray]
 
     @cached_property
     def yhat(self) -> Tensor:
@@ -435,7 +417,7 @@ class HCGRModel:
         key_mask = np.where(pad, MASK_LOGIT, 0.0)[:, None, :]
         return SessionBatch(node_ids, bias, key_mask, np.flatnonzero(~pad), np.cumsum(sizes) - sizes + last)
 
-    def forward(self, items, caches: ModelCaches | None = None, collect_points: bool = False) -> ForwardResult:
+    def forward(self, items, caches: ModelCaches | None = None) -> ForwardResult:
         """Scaled catalog logits for one session (item ids) or a SessionBatch.
 
         Both run the same batched pipeline over packed (N, d) origin
@@ -447,43 +429,27 @@ class HCGRModel:
         if caches is None:
             caches = self.caches()
         p = self.params
-        traces = Traces(node_items=tuple(sb.node_ids[0].tolist()) if single else ())
-        stage_tangents: dict[str, tuple[Tensor, Tensor]] = {}
 
         T = ad.take_rows(p.embeddings, sb.node_ids.reshape(-1)[sb.slots])
-        stage_tangents["embed"] = (T, caches.graph_k[0])
-        per_layer = [T]
+        per_layer, graph_attention = [T], []
         for l in range(1, self.hyper.graph_layers + 1):
             T, attn = self._graph_attention(sb, T, caches.graph_k[l])
-            traces.graph_attention.append(attn)
             per_layer.append(T)
-            stage_tangents[f"graph_layer_{l}"] = (T, caches.graph_k[l])
+            graph_attention.append(attn)
 
-        Z, fusion_weights = self._fuse(per_layer)
-        traces.fusion_weights = fusion_weights
-        stage_tangents["fused"] = (Z, caches.graph_k[-1])
-
-        E = Z
+        Z = self._fuse(per_layer)
+        E, self_attention = Z, []
         for j, blk in enumerate(p.blocks):
             E, attn = self._self_attention_block(sb, E, blk, caches.block_k[j])
-            traces.self_attention.append(attn)
-            stage_tangents[f"block_{j}"] = (E, caches.block_k[j])
+            self_attention.append(attn)
 
         gate = ad.sigmoid(p.gate_logit)
         o_vec = ad.add(ad.mul(gate, E[sb.last_row]), ad.mul(ad.sub(1.0, gate), Z[sb.last_row]))
-        traces.gate = float(gate.data)
-
         if single:
             o_vec = o_vec[0]
-            traces.graph_attention = [a[0] for a in traces.graph_attention]
-            traces.self_attention = [a[0] for a in traces.self_attention]
-        if collect_points:
-            traces.points = {}
-            with ad.no_grad():
-                for name, (t, k) in stage_tangents.items():
-                    points = manifold.exp_o_rows(manifold.slot_layout(t.data, sb.slots, sb.node_ids.shape), k).data
-                    traces.points[name] = points[0] if single else points
-        return ForwardResult(self.score(o_vec), o_vec, traces)
+            graph_attention = [a[0] for a in graph_attention]
+            self_attention = [a[0] for a in self_attention]
+        return ForwardResult(self.score(o_vec), o_vec, graph_attention, self_attention)
 
     def score(self, o_vec: Tensor) -> Tensor:
         """Scaled catalog logits z = exp(logit_scale) * (o E^T), as one
@@ -537,16 +503,16 @@ class HCGRModel:
         agg = manifold.weighted_log_rows(attn, X, k, sb.slots)
         return manifold.log_o_rows(manifold.exp_map_rows(X, agg, k), k), attn.data
 
-    def _fuse(self, per_layer: list[Tensor]) -> tuple[Tensor, np.ndarray]:
+    def _fuse(self, per_layer: list[Tensor]) -> Tensor:
         """Convex combination of the origin tangents of all aggregation depths."""
         if self.hyper.aggregator == "gat_last_layer":
-            return per_layer[-1], np.eye(len(per_layer))[-1]
+            return per_layer[-1]
         weights = ad.softmax_rows(self.params.fusion_logits)
         acc = None
         for l, t in enumerate(per_layer):
             term = ad.mul(weights[l], t)
             acc = term if acc is None else ad.add(acc, term)
-        return acc, weights.data.copy()
+        return acc
 
     def _self_attention_block(self, sb: SessionBatch, T: Tensor, blk: BlockParams, k) -> tuple[Tensor, np.ndarray]:
         """Scaled dot-product self-attention and feed-forward, from and to

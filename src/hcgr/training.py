@@ -18,7 +18,7 @@ random draw; the curvature scalars and the catalog logit scale, which start
 at constants, are left out (``model.initial_constant`` gives the reasons).
 
 Optimization is plain Adam over the flat/tangent parameter arrays, swept in
-cache-sized row blocks; the manifold only enters through the forward pass,
+cache-sized blocks; the manifold only enters through the forward pass,
 so no Riemannian machinery is needed. The learning rate halves after every
 third epoch and early stopping watches validation MRR@20.
 """
@@ -40,9 +40,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# adam_step updates a parameter larger than this many entries in row blocks
-# of at most this many, so that the six arrays one block touches (p, g, m, v
-# and two scratch buffers, 256 KB each at this size) stay in a 4 MiB L2
+# adam_step sweeps each parameter's flat view in blocks of this many entries,
+# so that the six arrays one block touches (p, g, m, v and the two scratch
+# arrays, 256 KB each at this size) stay in a 4 MiB L2
 # across the update's passes instead of streaming from memory on each.
 # One update of a (32119, 64) table, median of 15, one thread of a 2-core
 # Xeon with 4 MiB L2 per core: 41.2 ms whole; in blocks of 4k entries
@@ -103,26 +103,19 @@ class TrainState:
     step: int = 0
     epoch: int = 0
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    # two scratch arrays per parameter for adam_step's in-place arithmetic,
-    # each the size of the parameter or of one of its row blocks
-    buffers: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
+    # adam_step's in-place arithmetic on one block of ADAM_BLOCK entries
+    scratch: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)), repr=False
+    )
     best_epoch: int = 0
     best_metrics: RankingMetrics | None = None  # the best epoch's validation metrics at K = 10 and 20
-    best_arrays: dict[str, np.ndarray] | None = None
+    best_arrays: dict[str, np.ndarray] | None = None  # the best epoch's parameters, None before one
     history: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.moments:
             for name, t in self.model.params.named_parameters():
                 self.moments[name] = (np.zeros_like(t.data), np.zeros_like(t.data))
-        if not self.buffers:
-            for name, t in self.model.params.named_parameters():
-                shape = t.data.shape
-                if t.data.size > ADAM_BLOCK:  # one row block: about ADAM_BLOCK entries
-                    shape = (max(1, ADAM_BLOCK * shape[0] // t.data.size),) + shape[1:]
-                self.buffers[name] = (np.empty(shape), np.empty(shape))
-        if self.best_arrays is None:
-            self.best_arrays = self.model.params.state_arrays()
 
     @property
     def best_mrr(self) -> float:
@@ -319,27 +312,26 @@ def adam_step(state: TrainState, lr: float):
 
     The arithmetic is m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p -= lr (m / bc1) / (sqrt(v / bc2) + eps), evaluated in that order
-    through the state's scratch buffers, so no parameter-sized temporary is
-    allocated. A parameter of more than ADAM_BLOCK entries is swept in row
-    blocks, each taken through the whole update before the next; every
-    entry's arithmetic is unchanged, so the result is byte-identical to the
-    whole-array update. Smaller parameters are updated whole.
+    through the state's two scratch arrays, so no parameter-sized temporary
+    is allocated. Each parameter is swept through its flat view in blocks of
+    ADAM_BLOCK entries, each taken through the whole update before the next;
+    every entry's arithmetic is elementwise, so the result is byte-identical
+    to the whole-array update. The flat views write into the parameters and
+    moments themselves, which ``ModelParams.from_arrays`` and ``TrainState``
+    hold C-contiguous.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
+    a, b = state.scratch
     for name, p in state.model.params.named_parameters():
         m, v = state.moments[name]
-        a, b = state.buffers[name]
-        if p.data.size <= ADAM_BLOCK:
-            _adam_update(p.data, p.grad, m, v, a, b, lr, bc1, bc2)
-            continue
-        rows = len(a)
-        for r in range(0, len(p.data), rows):
-            blk = slice(r, r + rows)
-            n = min(rows, len(p.data) - r)
-            _adam_update(p.data[blk], p.grad[blk], m[blk], v[blk], a[:n], b[:n], lr, bc1, bc2)
+        pf, gf, mf, vf = p.data.reshape(-1), p.grad.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for r in range(0, pf.size, ADAM_BLOCK):
+            blk = slice(r, r + ADAM_BLOCK)
+            n = len(pf[blk])
+            _adam_update(pf[blk], gf[blk], mf[blk], vf[blk], a[:n], b[:n], lr, bc1, bc2)
 
 
 def train_epoch(state: TrainState, train_pairs: list[tuple[list[int], int]], lr: float) -> float:
@@ -382,7 +374,8 @@ def fit(
     """Train with early stopping on validation MRR@20.
 
     Returns the state with the best-epoch parameter snapshot restored into
-    the model, and that epoch's validation metrics in ``best_metrics``.
+    the model, and that epoch's validation metrics in ``best_metrics``; with
+    no best epoch (no epoch run) the parameters are left as they are.
     `log` receives one formatted line per epoch.
     """
     if not train_pairs or not valid_pairs:
@@ -411,7 +404,8 @@ def fit(
             stale += 1
             if stale >= cfg.patience:
                 break
-    model.params.load_arrays(state.best_arrays)
+    if state.best_arrays is not None:
+        model.params.load_arrays(state.best_arrays)
     return state
 
 
@@ -426,7 +420,6 @@ class GradientCheckReport:
     worst_param: str
     passed: bool
     tolerance: float
-    per_param: dict[str, float]
 
 
 def gradient_check(
@@ -460,7 +453,6 @@ def gradient_check(
         with ad.no_grad():
             return float(total_loss(model, batch, negatives, cfg).data)
 
-    per_param: dict[str, float] = {}
     worst = ("", 0.0)
     for name, t in model.params.named_parameters():
         flat = t.data.reshape(-1)
@@ -477,7 +469,6 @@ def gradient_check(
             rel = abs(fd - ana[i]) / max(abs(fd), abs(ana[i]), 1e-6)
             if rel > worst_here:
                 worst_here = rel
-        per_param[name] = worst_here
         if worst_here > worst[1]:
             worst = (name, worst_here)
     return GradientCheckReport(
@@ -485,6 +476,5 @@ def gradient_check(
         worst_param=worst[0],
         passed=worst[1] < tol,
         tolerance=tol,
-        per_param=per_param,
     )
 

@@ -342,6 +342,32 @@ class TestAnalyze:
         for total in sums.values():
             assert abs(total - 1.0) < 1e-9
 
+    def test_two_runs_write_identical_files(self, tmp_path, corpus, checkpoint):
+        dirs = [str(tmp_path / name) for name in ("a", "b")]
+        for out_dir in dirs:
+            assert run("analyze", "--checkpoint", checkpoint, "--data", corpus, "--out-dir", out_dir) == 0
+        names = sorted(os.listdir(dirs[0]))
+        assert names == sorted(os.listdir(dirs[1])) and "attention.csv" in names
+        for name in names:
+            a, b = (open(os.path.join(d, name), "rb").read() for d in dirs)
+            assert a == b, name
+
+    def test_attention_weights_are_the_one_session_forward(self, tmp_path, corpus, checkpoint):
+        out_dir = str(tmp_path / "analysis")
+        assert run("analyze", "--checkpoint", checkpoint, "--data", corpus, "--out-dir", out_dir) == 0
+        model, _ = load_checkpoint(checkpoint)
+        want = [["session", "kind", "layer", "src_item", "dst_item", "weight"]]
+        for s_idx, (prefix, _) in enumerate(dataset.load_prepared(corpus).test[:10]):
+            out = model.forward(prefix)
+            items = model.batch([prefix]).node_ids[0].tolist()
+            for kind, mats in (("graph", out.graph_attention), ("self", out.self_attention)):
+                for layer, mat in enumerate(mats, start=1):
+                    for i, j in np.ndindex(mat.shape):
+                        if kind == "self" or mat[i, j] > 0.0:
+                            want.append([str(s_idx), kind, str(layer), str(items[i]), str(items[j]), repr(float(mat[i, j]))])
+        att = list(csv.reader(open(os.path.join(out_dir, "attention.csv"), encoding="utf-8")))
+        assert att == want
+
 
 class TestCheck:
     def test_quick_check_passes(self, capsys):

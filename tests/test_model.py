@@ -30,6 +30,47 @@ def tiny_model(seed=0, catalog=6, **kw):
     return HCGRModel.create(hyper, catalog, seed=seed)
 
 
+@pytest.fixture
+def stages(monkeypatch):
+    """The packed (N, d) output tangents of each stage of the latest
+    forward pass, recorded by wrapping HCGRModel's fusion and block stages:
+    "embed" and "graph_layer_l" are the depths that the fusion receives,
+    "fused" its output and "block_j" block j's output."""
+    recorded = {}
+    fuse, block = HCGRModel._fuse, HCGRModel._self_attention_block
+
+    def record_fuse(self, per_layer):
+        Z = fuse(self, per_layer)
+        recorded.clear()
+        recorded["embed"] = per_layer[0].data.copy()
+        for l, t in enumerate(per_layer[1:], start=1):
+            recorded[f"graph_layer_{l}"] = t.data.copy()
+        recorded["fused"] = Z.data.copy()
+        return Z
+
+    def record_block(self, sb, T, blk, k):
+        E, attn = block(self, sb, T, blk, k)
+        j = [id(b) for b in self.params.blocks].index(id(blk))
+        recorded[f"block_{j}"] = E.data.copy()
+        return E, attn
+
+    monkeypatch.setattr(HCGRModel, "_fuse", record_fuse)
+    monkeypatch.setattr(HCGRModel, "_self_attention_block", record_block)
+    return recorded
+
+
+def stage_points(model, stages):
+    """Each recorded stage's tangents mapped onto that stage's hyperboloid:
+    "embed" and "graph_layer_l" under graph_k[0] and graph_k[l], "fused"
+    under graph_k[-1], "block_j" under block_k[j]."""
+    with ad.no_grad():
+        caches = model.caches()
+        ks = {"embed": caches.graph_k[0], "fused": caches.graph_k[-1]}
+        ks.update({f"graph_layer_{l}": caches.graph_k[l] for l in range(1, len(caches.graph_k))})
+        ks.update({f"block_{j}": k for j, k in enumerate(caches.block_k)})
+        return {name: mf.exp_o_rows(ad.Tensor(t), ks[name]).data for name, t in stages.items()}
+
+
 class TestHyperParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -165,39 +206,40 @@ class TestAttentionStructure:
     def test_graph_attention_rows_sum_to_one(self):
         model = tiny_model(seed=6, graph_layers=2)
         out = model.forward([0, 1, 2, 1, 0, 4])
-        for mat in out.traces.graph_attention:
+        for mat in out.graph_attention:
             assert np.abs(mat.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_self_attention_rows_sum_to_one(self):
         model = tiny_model(seed=7, attention_blocks=2)
         out = model.forward([0, 1, 2, 3])
-        for mat in out.traces.self_attention:
+        for mat in out.self_attention:
             assert np.abs(mat.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_singleton_neighborhood_attends_to_itself(self):
         model = tiny_model(seed=8)
         out = model.forward([5])
-        assert np.allclose(out.traces.graph_attention[0], [[1.0]])
+        assert np.allclose(out.graph_attention[0], [[1.0]])
 
-    def test_single_node_layer_and_fusion_are_identity(self):
+    def test_single_node_layer_and_fusion_are_identity(self, stages):
         model = tiny_model(seed=9)
-        out = model.forward([5], collect_points=True)
-        emb = out.traces.points["embed"]
-        assert np.abs(emb - out.traces.points["graph_layer_1"]).max() < 1e-9
-        assert np.abs(emb - out.traces.points["fused"]).max() < 1e-9
+        model.forward([5])
+        points = stage_points(model, stages)
+        emb = points["embed"]
+        assert np.abs(emb - points["graph_layer_1"]).max() < 1e-9
+        assert np.abs(emb - points["fused"]).max() < 1e-9
 
     def test_identical_neighbors_share_attention(self):
         model = tiny_model(seed=10)
         model.params.embeddings.data[1] = model.params.embeddings.data[0]
         out = model.forward([0, 1])
-        attn = out.traces.graph_attention[0]
+        attn = out.graph_attention[0]
         # each node's neighborhood is {self, other} with equal tangents/weights
         assert np.allclose(attn, 0.5, atol=1e-12)
 
     def test_masked_pairs_get_exactly_zero(self):
         model = tiny_model(seed=11)
         out = model.forward([0, 1, 2])  # 0 and 2 are not adjacent
-        attn = out.traces.graph_attention[0]
+        attn = out.graph_attention[0]
         assert attn[0, 2] == 0.0 and attn[2, 0] == 0.0
 
     def test_uniform_attention_when_projections_vanish(self):
@@ -205,26 +247,27 @@ class TestAttentionStructure:
         model.params.blocks[0].w_query.data[...] = 0.0
         model.params.blocks[0].w_key.data[...] = 0.0
         out = model.forward([0, 1, 2, 3])
-        assert np.allclose(out.traces.self_attention[0], 0.25, atol=1e-15)
+        assert np.allclose(out.self_attention[0], 0.25, atol=1e-15)
 
     def test_gcn_mean_is_uniform_over_neighbors(self):
         model = tiny_model(seed=13, aggregator="gcn_mean")
         out = model.forward([0, 1, 2])
-        attn = out.traces.graph_attention[0]
+        attn = out.graph_attention[0]
         hood_sizes = (attn > 0).sum(axis=1)
         for i, size in enumerate(hood_sizes):
             nz = attn[i][attn[i] > 0]
             assert np.allclose(nz, 1.0 / size, atol=1e-12)
 
-    def test_gat_last_layer_skips_fusion(self):
+    def test_gat_last_layer_skips_fusion(self, stages):
         model = tiny_model(seed=14, aggregator="gat_last_layer", graph_layers=2)
-        out = model.forward([0, 1, 2, 1], collect_points=True)
-        assert np.array_equal(out.traces.points["fused"], out.traces.points["graph_layer_2"])
+        model.forward([0, 1, 2, 1])
+        points = stage_points(model, stages)
+        assert np.array_equal(points["fused"], points["graph_layer_2"])
 
 
 class TestGeometryInvariants:
     @pytest.mark.parametrize("dim", [4, 16])
-    def test_intermediates_on_hyperboloid(self, dim):
+    def test_intermediates_on_hyperboloid(self, dim, stages):
         hyper = HyperParams(dim=dim, graph_layers=2, attention_blocks=2)
         model = HCGRModel.create(hyper, 20, seed=15)
         rng = np.random.default_rng(16)
@@ -238,8 +281,8 @@ class TestGeometryInvariants:
                 ks[f"block_{j}"] = float(caches.block_k[j].data)
         for _ in range(10):
             items = rng.integers(0, 20, size=rng.integers(1, 30)).tolist()
-            out = model.forward(items, collect_points=True)
-            for name, pts in out.traces.points.items():
+            model.forward(items)
+            for name, pts in stage_points(model, stages).items():
                 k = ks[name]
                 inner = -pts[:, 0] ** 2 + (pts[:, 1:] ** 2).sum(axis=1)
                 assert np.abs(inner + k).max() < 1e-8, name
@@ -321,24 +364,19 @@ class TestScoring:
 
 
 class TestGateBlend:
-    def test_gate_saturated_high_uses_long_term_path(self):
+    def test_gate_saturated_high_uses_long_term_path(self, stages):
         model = tiny_model(seed=21)
         model.params.gate_logit.data[...] = 40.0
-        out = model.forward([0, 1, 2], collect_points=True)
-        with ad.no_grad():
-            k = model.caches().block_k[0]
-            e_tan = mf.log_o_rows(ad.Tensor(out.traces.points["block_0"]), k).data
+        out = model.forward([0, 1, 2])
+        e_tan = stages["block_0"]
         pos = model.batch([[0, 1, 2]]).last_row[0]
         assert np.abs(out.readout.data[1:] - e_tan[pos]).max() < 1e-12
 
-    def test_gate_zero_blends_equally(self):
+    def test_gate_zero_blends_equally(self, stages):
         model = tiny_model(seed=22)
         model.params.gate_logit.data[...] = 0.0
-        out = model.forward([0, 1, 2], collect_points=True)
-        with ad.no_grad():
-            caches = model.caches()
-            e_tan = mf.log_o_rows(ad.Tensor(out.traces.points["block_0"]), caches.block_k[0]).data
-            z_tan = mf.log_o_rows(ad.Tensor(out.traces.points["fused"]), caches.graph_k[-1]).data
+        out = model.forward([0, 1, 2])
+        e_tan, z_tan = stages["block_0"], stages["fused"]
         pos = model.batch([[0, 1, 2]]).last_row[0]
         want = 0.5 * e_tan[pos] + 0.5 * z_tan[pos]
         assert np.abs(out.readout.data[1:] - want).max() < 1e-12
@@ -551,7 +589,7 @@ class TestBatchForward:
         # a padding slot neighbours only itself
         assert np.array_equal(sb.bias[0, 1], [MASK_LOGIT, 0.0, MASK_LOGIT])
         out = model.forward(sb)
-        for mat in out.traces.graph_attention + out.traces.self_attention:
+        for mat in out.graph_attention + out.self_attention:
             assert np.all(mat[0, 0, 1:] == 0.0)
 
     def test_empty_batch_rejected(self):

@@ -9,7 +9,7 @@ from hcgr import training as tr
 from hcgr.checks import TOY_BATCH, gradient_check_toy, toy_model
 from hcgr.dataset import preprocess, synth_hierarchical
 from hcgr.metrics import RankingMetrics
-from hcgr.model import AGGREGATORS, HCGRModel, HyperParams
+from hcgr.model import AGGREGATORS, HCGRModel, HyperParams, ModelParams
 
 
 class TestTrainConfig:
@@ -444,7 +444,7 @@ class TestAdam:
         model = HCGRModel.create(HyperParams(dim=64), 32119, seed=23)
         state = tr.TrainState(model=model, config=tr.TrainConfig())
         table = model.params.embeddings
-        assert 32119 % len(state.buffers["embeddings"][0]) != 0
+        assert 32119 * 64 % tr.ADAM_BLOCK != 0
         rng = np.random.default_rng(24)
         p = table.data.copy()
         m, v = np.zeros_like(p), np.zeros_like(p)
@@ -459,6 +459,26 @@ class TestAdam:
         assert table.data.tobytes() == p.tobytes()
         assert state.moments["embeddings"][0].tobytes() == m.tobytes()
         assert state.moments["embeddings"][1].tobytes() == v.tobytes()
+
+    def test_fortran_ordered_arrays_update_in_place(self):
+        # adam_step writes through flat views of the parameters, which a
+        # Fortran-ordered array cannot give; from_arrays holds them C-ordered
+        hyper = HyperParams(dim=4, graph_layers=1, attention_blocks=1)
+        model = HCGRModel.create(hyper, 7, seed=25)
+        before = model.params.state_arrays()
+        fortran = {name: np.array(a, order="F") for name, a in before.items()}
+        other = HCGRModel(hyper, 7, ModelParams.from_arrays(hyper, 7, fortran))
+        states = [tr.TrainState(model=m, config=tr.TrainConfig()) for m in (model, other)]
+        rng = np.random.default_rng(26)
+        for _ in range(2):
+            for name, t in model.params.named_parameters():
+                t.grad[...] = rng.normal(size=t.grad.shape)
+                other.params.by_name[name].grad[...] = t.grad
+            for state in states:
+                tr.adam_step(state, 0.01)
+        for name, t in other.params.named_parameters():
+            assert not np.array_equal(t.data, before[name]), name
+            assert t.data.tobytes() == model.params.by_name[name].data.tobytes(), name
 
 
 def _read_only_gradients(root):
@@ -662,6 +682,7 @@ class TestFit:
         cfg = tr.TrainConfig(epochs=0, seed=13)
         state = tr.fit(model, cfg, ds.train, ds.valid)
         assert state.epoch == 0
+        assert state.best_arrays is None
         for name, arr in model.params.state_arrays().items():
             assert np.array_equal(arr, before[name])
 
