@@ -21,7 +21,9 @@ a batch. ``matmul`` also takes a (B, n, d+1) batch against a batch, a shared
 matrix or a vector: the reference chains in ``tests/test_fused_maps.py``
 are built from those forms. ``transpose`` swaps the last two axes,
 ``softmax_rows`` normalises over the last axis at any rank, and
-``take_rows`` gathers by an index array of any shape.
+``take_rows`` gathers by an index array of any shape. The primitives that
+only those reference chains use (exp, log, cosh, sinh, concat, reshape) are
+built on ``primitive`` in ``tests/ref_ops.py``.
 
 Indexing a tensor with a basic slice (``X[..., 1:]``) and transposing a 2-D
 tensor return views of its data rather than copies. Nothing may write into
@@ -56,17 +58,11 @@ __all__ = [
     "neg",
     "matmul",
     "transpose",
-    "reshape",
-    "concat",
     "take_rows",
     "tsum",
     "softmax_rows",
     "softmax_in_place",
-    "exp",
-    "log",
     "sqrt",
-    "cosh",
-    "sinh",
     "arcosh",
     "sigmoid",
     "relu",
@@ -379,33 +375,6 @@ def transpose(a) -> Tensor:
     return _node(out if out.ndim == 2 else out.copy(), "transpose", (a,), back)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    old = a.data.shape
-
-    def back(g):
-        return ((a, g.reshape(old)),)
-
-    return _node(a.data.reshape(shape), "reshape", (a,), back)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    if not ts:
-        raise ValueError("concat of an empty sequence")
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts])
-
-    def back(g):
-        slicer = [slice(None)] * g.ndim
-        outs = []
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            slicer[axis] = slice(lo, hi)
-            outs.append((t, g[tuple(slicer)]))
-        return outs
-
-    return _node(np.concatenate([t.data for t in ts], axis=axis), "concat", ts, back)
-
-
 def take_rows(a, indices) -> Tensor:
     """Gather rows of a 2-D tensor by an index array of any shape; the result
     has shape indices.shape + (columns,). Duplicate indices accumulate
@@ -498,25 +467,6 @@ def softmax_rows(a) -> Tensor:
 # -- elementwise unary primitives -----------------------------------------
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.data)
-
-    def back(g):
-        return ((a, g * y),)
-
-    return _node(y, "exp", (a,), back)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def back(g):
-        return ((a, g / a.data),)
-
-    return _node(np.log(a.data), "log", (a,), back)
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     y = np.sqrt(a.data)
@@ -525,24 +475,6 @@ def sqrt(a) -> Tensor:
         return ((a, g / (2.0 * y)),)
 
     return _node(y, "sqrt", (a,), back)
-
-
-def cosh(a) -> Tensor:
-    a = as_tensor(a)
-
-    def back(g):
-        return ((a, g * np.sinh(a.data)),)
-
-    return _node(np.cosh(a.data), "cosh", (a,), back)
-
-
-def sinh(a) -> Tensor:
-    a = as_tensor(a)
-
-    def back(g):
-        return ((a, g * np.cosh(a.data)),)
-
-    return _node(np.sinh(a.data), "sinh", (a,), back)
 
 
 def arcosh(a) -> Tensor:

@@ -2,8 +2,11 @@
 
 Configuration precedence is built-in defaults < config file < command-line
 flags. Config files are ``key=value`` lines with ``#`` comments; unknown keys
-abort before anything is written. The effective configuration is echoed into
-the output directory as ``run-config.txt``.
+abort before anything is written. The effective configuration is echoed next
+to each command's output, as ``<output>.run-config.txt``; ``train`` also
+writes ``<checkpoint>.epoch-log.txt``, and ``analyze`` writes
+``run-config.txt`` into its output directory. So the records of commands that
+share a directory do not overwrite each other.
 
 Exit codes: 0 success, 1 check failure, 2 input/usage error, 3 numeric
 failure during training or evaluation.
@@ -81,9 +84,7 @@ def merge_config(args, keys) -> dict:
     return {k: merged[k] for k in keys}
 
 
-def write_run_config(out_dir: str, conf: dict):
-    os.makedirs(out_dir or ".", exist_ok=True)
-    path = os.path.join(out_dir or ".", "run-config.txt")
+def write_run_config(path: str, conf: dict):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(conf):
             fh.write(f"{key}={conf[key]}\n")
@@ -113,10 +114,9 @@ def cmd_synth(args) -> int:
         raise UsageError("synth needs --items >= 10 and --sessions >= 1")
     seed = args.seed if args.seed is not None else _default_seed()
     sessions = dataset.synth_hierarchical(args.items, args.sessions, seed)
-    out_dir = os.path.dirname(os.path.abspath(args.output))
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
     dataset.write_session_log(args.output, sessions)
-    write_run_config(out_dir, {"command": "synth", "items": args.items, "sessions": args.sessions, "seed": seed})
+    write_run_config(args.output + ".run-config.txt", {"command": "synth", "items": args.items, "sessions": args.sessions, "seed": seed})
     print(f"wrote {len(sessions)} sessions over {args.items} items to {args.output}")
     return 0
 
@@ -134,11 +134,10 @@ def cmd_prepare(args) -> int:
     )
     # each pair is one filtered session: its prefix and its last click
     stats = dataset.corpus_stats([prefix + [target] for prefix, target in ds.train + ds.valid + ds.test])
-    out_dir = os.path.dirname(os.path.abspath(args.output))
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
     dataset.save_prepared(args.output, ds, seed, stats)
     write_run_config(
-        out_dir,
+        args.output + ".run-config.txt",
         {
             "command": "prepare",
             "input": args.input,
@@ -166,9 +165,8 @@ def cmd_train(args) -> int:
     ds = dataset.load_prepared(args.data)
     model = HCGRModel.create(hyper, ds.n_items, cfg.seed)
 
-    out_dir = os.path.dirname(os.path.abspath(args.checkpoint_out))
-    os.makedirs(out_dir, exist_ok=True)
-    write_run_config(out_dir, {**conf, "command": "train", "data": args.data})
+    os.makedirs(os.path.dirname(os.path.abspath(args.checkpoint_out)), exist_ok=True)
+    write_run_config(args.checkpoint_out + ".run-config.txt", {**conf, "command": "train", "data": args.data})
 
     log_lines: list[str] = []
 
@@ -186,7 +184,7 @@ def cmd_train(args) -> int:
             f"val_mrr10={val.mrr[10]:.6f} val_mrr20={val.mrr[20]:.6f}"
         )
     save_checkpoint(args.checkpoint_out, model, cfg.seed)
-    with open(os.path.join(out_dir, "epoch-log.txt"), "w", encoding="utf-8", newline="\n") as fh:
+    with open(args.checkpoint_out + ".epoch-log.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(line + "\n" for line in log_lines)
     print(f"checkpoint -> {args.checkpoint_out}")
     return 0
@@ -213,14 +211,13 @@ def cmd_eval(args) -> int:
     if not ds.test:
         raise UsageError("test split is empty")
     result = metrics.evaluate(model, ds.test, ks=ks)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["split", "K", "hit_rate", "ndcg", "mrr", "n"])
         for k in ks:
             writer.writerow(["test", k, repr(result.hr[k]), repr(result.ndcg[k]), repr(result.mrr[k]), result.n_evaluated])
-    write_run_config(out_dir, {"command": "eval", "checkpoint": args.checkpoint, "data": args.data, "ks": args.ks})
+    write_run_config(args.out + ".run-config.txt", {"command": "eval", "checkpoint": args.checkpoint, "data": args.data, "ks": args.ks})
     print(f"{'split':<6}{'K':>4}{'hit_rate':>12}{'ndcg':>12}{'mrr':>12}{'n':>8}")
     for k in ks:
         print(f"{'test':<6}{k:>4}{result.hr[k]:>12.6f}{result.ndcg[k]:>12.6f}{result.mrr[k]:>12.6f}{result.n_evaluated:>8}")
@@ -231,7 +228,7 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     model, ds, _ = _load_model_for(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    write_run_config(args.out_dir, {"command": "analyze", "checkpoint": args.checkpoint, "data": args.data})
+    write_run_config(os.path.join(args.out_dir, "run-config.txt"), {"command": "analyze", "checkpoint": args.checkpoint, "data": args.data})
 
     rows = metrics.hierarchy_report(model, ds.train)
     with open(os.path.join(args.out_dir, "hierarchy.csv"), "w", encoding="utf-8", newline="") as fh:

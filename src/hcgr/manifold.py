@@ -15,12 +15,12 @@ on the hyperboloid, and tangents at any base point other than the origin,
 are (d+1)-wide; they read the time coordinate as ``[..., 0:1]`` and the
 space block as ``[..., 1:]``. The tangent space at the origin is R^d (its
 time coordinate is identically 0), so tangents there are d-wide:
-``exp_o_rows`` and ``hyp_activation_rows`` take them, ``log_o_rows``
-returns them, and the biases of ``transport_from_o_rows`` and
-``hyp_bias_add_rows`` and the weights of ``hyp_matmul_rows`` act on them.
-All reduce over the last axis and are fully differentiable (including
-through ``k``). The network, the loss and ``hcgr check`` are built from
-them.
+``exp_o_rows`` takes them, ``log_o_rows`` returns them, and they are the
+biases of ``transport_from_o_rows`` and ``hyp_bias_add_rows``. The network's
+linear layers and activations act on these tangents directly, between
+``log_o_rows`` and ``exp_o_rows``. All ops reduce over the last axis and are
+fully differentiable (including through ``k``). The network, the loss and
+``hcgr check`` are built from them.
 
 Numerical guards: arguments of arcosh are floored at exactly 1 (so coincident
 points get distance exactly 0), squared norms are floored before square roots
@@ -136,19 +136,6 @@ def exp_map_rows(X: Tensor, V: Tensor, k) -> Tensor:
         return ((X, gX), (V, ad._unbroadcast(gV, V.shape)), (k, np.asarray(g_k)))
 
     return ad.primitive(np.concatenate([time, space], axis=-1), "exp_map_rows", (X, V, k), back)
-
-
-def log_map_rows(X: Tensor, Y: Tensor, k) -> Tensor:
-    """Logarithmic map of rows Y into the tangent space at rows X.
-
-    d(x,y) * u / |u|_L with u = y + (<x,y>_L / k) x; coincident rows map to
-    the zero vector via the floored norm.
-    """
-    ip = rowwise_inner(X, Y)
-    d = ad.mul(ad.sqrt(ad.as_tensor(k)), ad.arcosh(ad.clamp(ad.div(ad.neg(ip), k), lo=1.0)))
-    u = ad.add(Y, ad.mul(X, ad.div(ip, k)))
-    unorm = ad.sqrt(ad.clamp(rowwise_inner(u, u), lo=MIN_SQ_NORM))
-    return ad.mul(u, ad.div(d, unorm))
 
 
 def weighted_log_rows(A: Tensor, X: Tensor, k, slots: np.ndarray | None = None) -> Tensor:
@@ -298,29 +285,14 @@ def log_o_rows(X: Tensor, k) -> Tensor:
     return ad.primitive(space * coef, "log_o_rows", (X, k), back)
 
 
-def transport_rows(X: Tensor, Y: Tensor, V: Tensor, k) -> Tensor:
-    """Parallel transport of tangent rows V from base rows X to base rows Y.
-
-    Computed as v + <y,v>_L / (k - <x,y>_L) (x + y), the closed algebraic
-    form of the geodesic transport; its denominator is at least 2k on the
-    upper sheet, so coincident bases degrade smoothly to v. This equals the
-    logarithmic-map expression v - (<log_x(y), v>_L / d(x,y)^2)(log_x(y) +
-    log_y(x)) wherever the latter is well conditioned (the d^2 denominator
-    turns arcosh roundoff into O(1) noise as y approaches x); the test suite
-    asserts the equivalence on separated points.
-    """
-    coef = ad.div(rowwise_inner(Y, V), ad.sub(k, rowwise_inner(X, Y)))
-    return ad.add(V, ad.mul(ad.add(X, Y), coef))
-
-
 def transport_from_o_rows(Y: Tensor, B: Tensor, k) -> Tensor:
     """Parallel transport of d-wide tangent-at-origin rows B to base rows Y.
 
     B has the rows of Y, or is a single (d,) tangent carried to every row;
     the result is (d+1)-wide. Uses the closed form
-    PT_{o->y}(b) = b + <y,b>_L / (k + sqrt(k) y_0) (o + y), the same operator
-    as the generic formula without the 0/0 guards; the denominator is at
-    least 2k on the upper sheet. b's time coordinate is 0, so <y,b>_L is the
+    PT_{o->y}(b) = b + <y,b>_L / (k + sqrt(k) y_0) (o + y), the geodesic
+    transport v + <y,v>_L / (k - <x,y>_L) (x + y) at x = o; the denominator
+    is at least 2k on the upper sheet. b's time coordinate is 0, so <y,b>_L is the
     dot product of y's space block with b. One autodiff node, with the
     backward pass written out by hand.
     """
@@ -347,26 +319,7 @@ def transport_from_o_rows(Y: Tensor, B: Tensor, k) -> Tensor:
     return ad.primitive(out, "transport_from_o_rows", (Y, B, k), back)
 
 
-def hyp_matmul_rows(X: Tensor, W: Tensor, k) -> Tensor:
-    """Hyperbolic matrix multiplication: exp_o(W log_o(x)) per row.
-
-    W has shape (m, d) acting on column vectors of the d-wide tangent at the
-    origin; rows of X are mapped to (m+1)-wide points under the same
-    curvature.
-    """
-    return exp_o_rows(ad.matmul(log_o_rows(X, k), ad.transpose(W)), k)
-
-
 def hyp_bias_add_rows(X: Tensor, b: Tensor, k) -> Tensor:
     """Hyperbolic bias: exp_x(PT_{o->x}(b)) per row; b is a (d,) tangent at o,
     so any parameter vector is a valid one."""
     return exp_map_rows(X, transport_from_o_rows(X, b, k), k)
-
-
-def hyp_activation_rows(X: Tensor, act, k_from, k_to) -> Tensor:
-    """Apply an origin-fixing elementwise activation between curvatures.
-
-    exp_o under k_to of act(log_o under k_from of x). act must map 0 to 0 so
-    the origin is a fixed point.
-    """
-    return exp_o_rows(act(log_o_rows(X, k_from)), k_to)

@@ -258,7 +258,7 @@ def total_loss(
     rows = [i for i, neg_ids in enumerate(negatives) if len(neg_ids)]
     if cfg.contrastive_weight != 0.0 and rows:
         k0 = caches.graph_k[0]
-        anchor = manifold.exp_o_rows(ad.reshape(result.readout_tangent[rows], (len(rows), 1, -1)), k0)
+        anchor = manifold.exp_o_rows(ad.take_rows(result.readout_tangent, np.array(rows)[:, None]), k0)
         # the positive and the negatives of each pair, mapped in one call
         ids = np.concatenate([targets[rows].reshape(-1, 1), np.stack([negatives[i] for i in rows])], axis=1)
         points = model.item_points(ids, k0)

@@ -131,15 +131,13 @@ class TestTrain:
         assert "epoch=" not in printed
         model, seed = load_checkpoint(ckpt)
         assert seed == 5 and model.hyper.dim == 6
-        log = os.path.join(os.path.dirname(ckpt), "epoch-log.txt")
-        assert open(log, encoding="utf-8").read() == ""
+        assert open(ckpt + ".epoch-log.txt", encoding="utf-8").read() == ""
 
     def test_training_writes_epoch_log_and_config(self, tmp_path, checkpoint):
-        out_dir = os.path.dirname(checkpoint)
-        lines = open(os.path.join(out_dir, "epoch-log.txt"), encoding="utf-8").read().splitlines()
+        lines = open(checkpoint + ".epoch-log.txt", encoding="utf-8").read().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("epoch=1 loss=")
-        conf = open(os.path.join(out_dir, "run-config.txt"), encoding="utf-8").read()
+        conf = open(checkpoint + ".run-config.txt", encoding="utf-8").read()
         assert "dim=6" in conf and "seed=5" in conf
 
     def test_aggregator_flag_pass_through(self, tmp_path, corpus):
@@ -212,7 +210,7 @@ class TestTrain:
                    "--batch-size", "16", "--learning-rate", "0.05", "--seed", "5") == 0
         printed = capsys.readouterr().out.splitlines()
         epochs = [line for line in printed if line.startswith("epoch=")]
-        with open(tmp_path / "out" / "epoch-log.txt", encoding="utf-8", newline="") as fh:
+        with open(tmp_path / "out" / "model.epoch-log.txt", encoding="utf-8", newline="") as fh:
             assert fh.read() == "".join(line + "\n" for line in epochs)
         assert calls == [(10, 20)] * len(epochs) == [(10, 20)] * 4
         summary = printed[len(epochs)]
@@ -369,6 +367,25 @@ class TestAnalyze:
         assert att == want
 
 
+class TestRunRecords:
+    def test_outputs_sharing_a_directory_keep_every_record(self, tmp_path, corpus):
+        # the corpus fixture wrote synth.txt and prepared.json into tmp_path
+        for name, epochs in (("a", "1"), ("b", "2")):
+            assert run("train", "--data", corpus, "--checkpoint-out", str(tmp_path / name), "--dim", "6",
+                       "--epochs", epochs, "--batch-size", "16", "--seed", "5") == 0
+        assert run("eval", "--data", corpus, "--checkpoint", str(tmp_path / "b"), "--out", str(tmp_path / "b.csv")) == 0
+        outputs = ["synth.txt", "prepared.json", "a", "b", "b.csv"]
+        records = [f"{name}.run-config.txt" for name in outputs] + ["a.epoch-log.txt", "b.epoch-log.txt"]
+        assert sorted(os.listdir(tmp_path)) == sorted(outputs + records)
+        config = {name: (tmp_path / f"{name}.run-config.txt").read_text(encoding="utf-8") for name in outputs}
+        for name, command in zip(outputs, ["synth", "prepare", "train", "train", "eval"]):
+            assert f"command={command}\n" in config[name]
+        assert "epochs=1\n" in config["a"] and "epochs=2\n" in config["b"]
+        for name, epochs in (("a", 1), ("b", 2)):
+            lines = (tmp_path / f"{name}.epoch-log.txt").read_text(encoding="utf-8").splitlines()
+            assert [line.split()[0] for line in lines] == [f"epoch={e}" for e in range(1, epochs + 1)]
+
+
 class TestCheck:
     def test_quick_check_passes(self, capsys):
         assert run("check", "--level", "quick") == 0
@@ -386,6 +403,26 @@ class TestCheck:
         assert run("check", "--level", "quick") == 1
         out = capsys.readouterr().out
         assert "roundtrip" in out.lower()
+
+    def test_stretched_log_map_fails_roundtrip(self, monkeypatch, capsys):
+        true_log = manifold.weighted_log_rows
+
+        def stretched(A, X, k, slots=None):
+            return ad.mul(true_log(A, X, k, slots), 1.001)
+
+        monkeypatch.setattr(manifold, "weighted_log_rows", stretched)
+        assert run("check", "--level", "quick") == 1
+        assert "[FAIL] exp/log roundtrip" in capsys.readouterr().out
+
+    def test_stretched_transport_bias_fails_isometry(self, monkeypatch, capsys):
+        true_transport = manifold.transport_from_o_rows
+
+        def stretched(Y, B, k):
+            return true_transport(Y, ad.mul(B, 1.001), k)
+
+        monkeypatch.setattr(manifold, "transport_from_o_rows", stretched)
+        assert run("check", "--level", "quick") == 1
+        assert "[FAIL] transport inner-product preservation" in capsys.readouterr().out
 
 
 class TestSeedFallback:

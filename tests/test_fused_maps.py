@@ -15,6 +15,7 @@ from hcgr import autodiff as ad
 from hcgr import manifold as mf
 from hcgr.model import ATTN_SLOPE, HCGRModel, HyperParams, pair_attention, self_attention
 
+import ref_ops as ref
 from test_autodiff import check_grad
 
 D = 3
@@ -34,17 +35,17 @@ def composed_exp_map(X, V, k):
     sk = ad.sqrt(ad.as_tensor(k))
     nrm = ad.sqrt(ad.clamp(mf.rowwise_inner(V, V), lo=mf.MIN_SQ_NORM))
     arg = ad.div(nrm, sk)
-    out = ad.add(ad.mul(X, ad.cosh(arg)), ad.mul(V, ad.div(ad.mul(sk, ad.sinh(arg)), nrm)))
+    out = ad.add(ad.mul(X, ref.cosh(arg)), ad.mul(V, ad.div(ad.mul(sk, ref.sinh(arg)), nrm)))
     space = out[..., 1:]
     time = ad.sqrt(ad.add(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), k))
-    return ad.concat([time, space], axis=-1)
+    return ref.concat([time, space], axis=-1)
 
 
 def composed_transport_from_o(Y, B, k):
     sk = ad.sqrt(ad.as_tensor(k))
     y0, space = Y[..., 0:1], Y[..., 1:]
     coef = ad.div(ad.tsum(ad.mul(space, B), axis=-1, keepdims=True), ad.add(ad.mul(sk, y0), k))
-    return ad.concat([ad.mul(ad.add(y0, sk), coef), ad.add(B, ad.mul(space, coef))], axis=-1)
+    return ref.concat([ad.mul(ad.add(y0, sk), coef), ad.add(B, ad.mul(space, coef))], axis=-1)
 
 
 def composed_weighted_log(A, X, k):
@@ -61,7 +62,7 @@ def composed_weighted_log(A, X, k):
 def composed_softplus(a):
     a = ad.as_tensor(a)
     absval = ad.add(ad.relu(a), ad.relu(ad.neg(a)))
-    return ad.add(ad.relu(a), ad.log(ad.add(1.0, ad.exp(ad.neg(absval)))))
+    return ad.add(ad.relu(a), ref.log(ad.add(1.0, ref.exp(ad.neg(absval)))))
 
 
 def _points(rng, lead, k):
@@ -230,18 +231,18 @@ def _to_slots(t, sb):
     n = t.shape[0]
     index = np.full(sb.node_ids.size, n)
     index[sb.slots] = np.arange(n)
-    rows = ad.concat([t, ad.constant(np.zeros((1, t.shape[-1])))], axis=0)
+    rows = ref.concat([t, ad.constant(np.zeros((1, t.shape[-1])))], axis=0)
     return ad.take_rows(rows, index.reshape(sb.node_ids.shape))
 
 
 def _from_slots(t, sb):
-    return ad.take_rows(ad.reshape(t, (-1, t.shape[-1])), sb.slots)
+    return ad.take_rows(ref.reshape(t, (-1, t.shape[-1])), sb.slots)
 
 
 def composed_pair_attention(sb):
     def op(T, attn_w, attn_b):
-        a_row = _to_slots(ad.reshape(ad.matmul(T, attn_w[:D]), (-1, 1)), sb)  # (B, n, 1)
-        a_col = ad.transpose(_to_slots(ad.reshape(ad.matmul(T, attn_w[D:]), (-1, 1)), sb))  # (B, 1, n)
+        a_row = _to_slots(ref.reshape(ad.matmul(T, attn_w[:D]), (-1, 1)), sb)  # (B, n, 1)
+        a_col = ad.transpose(_to_slots(ref.reshape(ad.matmul(T, attn_w[D:]), (-1, 1)), sb))  # (B, 1, n)
         pair = ad.add(ad.add(a_row, a_col), attn_b)
         return ad.softmax_rows(ad.add(ad.leaky_relu(pair, ATTN_SLOPE), ad.constant(sb.bias)))
 

@@ -11,6 +11,8 @@ from hcgr.dataset import preprocess, synth_hierarchical
 from hcgr.metrics import RankingMetrics
 from hcgr.model import AGGREGATORS, HCGRModel, HyperParams, ModelParams
 
+import ref_ops as ref
+
 
 class TestTrainConfig:
     def test_validation(self):
@@ -253,7 +255,7 @@ class TestTotalLoss:
         for (session, target), n in zip(TOY_BATCH, negs):
             res = model.forward(session, caches=caches)
             ce.append(float(tr.cross_entropy_loss(res.logits, target).data))
-            anchor = mf.exp_o_rows(ad.reshape(res.readout[1:], (1, -1)), k0)
+            anchor = mf.exp_o_rows(ref.reshape(res.readout[1:], (1, -1)), k0)
             pos = model.item_points([target], k0)
             neg = model.item_points(n, k0)
             con.append(float(tr.contrastive_loss(anchor, pos, neg, cfg.margin, k0).data))
