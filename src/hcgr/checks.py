@@ -42,17 +42,6 @@ def _constraint_violation(X: np.ndarray, k: float) -> float:
     return float(np.abs(inner + k).max())
 
 
-# weight 1 on the pair (0, 1) of a two-point set, 0 elsewhere
-_ONE_PAIR = np.array([[0.0, 1.0], [0.0, 0.0]])
-
-
-def _log_rows(X: ad.Tensor, Y: ad.Tensor, k) -> np.ndarray:
-    """log_{x_i}(y_i) per row, through the network's own log map: row 0 of
-    ``weighted_log_rows`` over the two-point set [x_i, y_i]."""
-    pairs = ad.Tensor(np.stack([X.data, Y.data], axis=-2))
-    return manifold.weighted_log_rows(_ONE_PAIR, pairs, k).data[:, 0]
-
-
 def _relative(got: np.ndarray, want: np.ndarray) -> float:
     """Largest row error of got, relative to the row's norm in want."""
     err = np.linalg.norm(got - want, axis=1)
@@ -63,8 +52,9 @@ def manifold_check(dims=(2, 8), ks=(0.5, 1.0, 2.0), n: int = 300, seed: int = 0)
     """Property sweep over random points/tangents for each (d, k) pair.
 
     Every row measures ops the forward pass or the loss runs: the log map at
-    a point is ``weighted_log_rows`` and tangents there come from
-    ``transport_from_o_rows``, as in the network. Base points stay within
+    a point is ``weighted_log_rows`` over packed rows, as in graph
+    attention, and tangents there are boosts of tangents at the origin, the
+    transport inside the feed-forward's bias. Base points stay within
     geodesic radius 2 of the origin and steps within norm 2.5 (origin
     roundtrips go out to norm 5). Beyond radius ~7 the hyperboloid residual
     of float64 arithmetic grows like eps*cosh^2(r/sqrt(k)) and no
@@ -74,6 +64,14 @@ def manifold_check(dims=(2, 8), ks=(0.5, 1.0, 2.0), n: int = 300, seed: int = 0)
     rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
 
+    def log_rows(X: ad.Tensor, Y: ad.Tensor, k) -> np.ndarray:
+        """log_{x_i}(y_i) per row, through the network's own log map: each
+        two-point set [x_i, y_i] is a session of two packed rows, with
+        weight 1 on the pair (0, 1) and 0 elsewhere."""
+        pairs = ad.Tensor(np.stack([X.data, Y.data], axis=1).reshape(2 * n, -1))
+        weights = np.broadcast_to([[0.0, 1.0], [0.0, 0.0]], (n, 2, 2))
+        return manifold.weighted_log_rows(weights, pairs, k, np.arange(2 * n)).data[0::2]
+
     def record(name: str, value: float):
         worst[name] = max(worst.get(name, 0.0), value)
 
@@ -81,7 +79,8 @@ def manifold_check(dims=(2, 8), ks=(0.5, 1.0, 2.0), n: int = 300, seed: int = 0)
         for d in dims:
             for k in ks:
                 T = ad.Tensor
-                X = manifold.exp_o_rows(T(_random_tangents_at_origin(rng, n, d, 2.0)), k)
+                Ux = T(_random_tangents_at_origin(rng, n, d, 2.0))
+                X = manifold.exp_o_rows(Ux, k)
                 Y = manifold.exp_o_rows(T(_random_tangents_at_origin(rng, n, d, 2.0)), k)
                 Z = manifold.exp_o_rows(T(_random_tangents_at_origin(rng, n, d, 2.0)), k)
                 record("hyperboloid constraint after exp at origin", _constraint_violation(X.data, k))
@@ -92,14 +91,15 @@ def manifold_check(dims=(2, 8), ks=(0.5, 1.0, 2.0), n: int = 300, seed: int = 0)
                 record("hyperboloid constraint after exp at origin", _constraint_violation(P5.data, k))
                 record("exp/log roundtrip", _relative(manifold.log_o_rows(P5, k).data, B5.data))
 
-                # tangent vectors at X via transport from the origin
-                B = T(_random_tangents_at_origin(rng, n, d, 2.5))
-                B2 = T(_random_tangents_at_origin(rng, n, d, 2.5))
-                V = manifold.transport_from_o_rows(X, B, k)
-                W = manifold.transport_from_o_rows(X, B2, k)
+                # tangent vectors at X: the boost carrying o to X transports
+                # the tangents (0, b) at the origin
+                B = np.pad(_random_tangents_at_origin(rng, n, d, 2.5), ((0, 0), (1, 0)))
+                B2 = np.pad(_random_tangents_at_origin(rng, n, d, 2.5), ((0, 0), (1, 0)))
+                V = manifold.boost_rows(Ux, T(B), k)
+                W = manifold.boost_rows(Ux, T(B2), k)
 
                 # transport from the origin is an isometry and lands tangent
-                before = (B.data * B2.data).sum(axis=1, keepdims=True)
+                before = (B * B2).sum(axis=1, keepdims=True)
                 after = manifold.rowwise_inner(V, W).data
                 record("transport inner-product preservation", float(np.abs(after - before).max()))
                 tang = manifold.rowwise_inner(V, X).data
@@ -108,12 +108,13 @@ def manifold_check(dims=(2, 8), ks=(0.5, 1.0, 2.0), n: int = 300, seed: int = 0)
                 # exp/log roundtrips at X, relative per row
                 Ex = manifold.exp_map_rows(X, V, k)
                 record("hyperboloid constraint after exp_map", _constraint_violation(Ex.data, k))
-                record("exp/log roundtrip", _relative(_log_rows(X, Ex, k), V.data))
-                Y2 = manifold.exp_map_rows(X, T(_log_rows(X, Y, k)), k)
+                record("exp/log roundtrip", _relative(log_rows(X, Ex, k), V.data))
+                Lxy = T(log_rows(X, Y, k))
+                Y2 = manifold.exp_map_rows(X, Lxy, k)
                 record("log/exp roundtrip", _relative(Y2.data, Y.data))
-                record("log at coincident points", float(np.abs(_log_rows(X, X, k)).max()))
+                record("log at coincident points", float(np.abs(log_rows(X, X, k)).max()))
 
-                # distance axioms
+                # distance axioms, and the distance is the length of the log
                 dxy = manifold.dist_rows(X, Y, k).data[:, 0]
                 dyx = manifold.dist_rows(Y, X, k).data[:, 0]
                 record("distance symmetry", float(np.abs(dxy - dyx).max()))
@@ -121,9 +122,11 @@ def manifold_check(dims=(2, 8), ks=(0.5, 1.0, 2.0), n: int = 300, seed: int = 0)
                 dyz = manifold.dist_rows(Y, Z, k).data[:, 0]
                 record("triangle inequality violation", float((dxz - dxy - dyz).max()))
                 record("distance self", float(manifold.dist_rows(X, X, k).data.max()))
+                log_len = np.sqrt(np.maximum(manifold.rowwise_inner(Lxy, Lxy).data[:, 0], 0.0))
+                record("distance equals log length", float((np.abs(dxy - log_len) / np.maximum(dxy, 1e-6)).max()))
 
-                Xb = manifold.hyp_bias_add_rows(X, T(np.zeros(d)), k)
-                record("hyp_bias_add zero identity", float(np.abs(Xb.data - X.data).max()))
+                Xb = manifold.boost_rows(Ux, manifold.exp_o_rows(T(np.zeros(d)), k), k)
+                record("boost of the origin is exp_o(u)", float(np.abs(Xb.data - X.data).max()))
 
     limits = {
         "hyperboloid constraint after exp at origin": 1e-8,
@@ -134,9 +137,10 @@ def manifold_check(dims=(2, 8), ks=(0.5, 1.0, 2.0), n: int = 300, seed: int = 0)
         "distance symmetry": 0.0 + 1e-300,  # bit-exact; any nonzero fails
         "triangle inequality violation": 1e-9,
         "distance self": 1e-6,
+        "distance equals log length": 1e-9,
         "transport inner-product preservation": 1e-7,
         "transport tangency at destination": 1e-7,
-        "hyp_bias_add zero identity": 1e-9,
+        "boost of the origin is exp_o(u)": 1e-9,
     }
     return [CheckResult(name, worst[name], limits[name]) for name in limits]
 

@@ -8,19 +8,20 @@ the manifold is ``-1/k``. Index 0 is the time-like coordinate.
 The geometry has one API: ``rowwise_inner`` and the batched ops suffixed
 ``_rows``. Each takes autodiff tensors whose last axis holds one point or
 tangent vector, as ``(n, w)`` rows, such as the packed nodes of a session
-batch, or ``(B, n, w)`` padded slots; a single point is one ``(1, w)`` row.
-``weighted_log_rows``, which pairs the nodes of each session, also takes
-packed rows and lays them out in the slots itself (``slot_layout``). Points
-on the hyperboloid, and tangents at any base point other than the origin,
-are (d+1)-wide; they read the time coordinate as ``[..., 0:1]`` and the
-space block as ``[..., 1:]``. The tangent space at the origin is R^d (its
-time coordinate is identically 0), so tangents there are d-wide:
-``exp_o_rows`` takes them, ``log_o_rows`` returns them, and they are the
-biases of ``transport_from_o_rows`` and ``hyp_bias_add_rows``. The network's
-linear layers and activations act on these tangents directly, between
-``log_o_rows`` and ``exp_o_rows``. All ops reduce over the last axis and are
-fully differentiable (including through ``k``). The network, the loss and
-``hcgr check`` are built from them.
+batch; a single point is one ``(1, w)`` row. ``weighted_log_rows``, which
+pairs the nodes of each session, takes packed rows and lays them out in
+padded slots itself (``slot_layout``). Points on the hyperboloid, and
+tangents at any base point other than the origin, are (d+1)-wide; they read
+the time coordinate as ``[..., 0:1]`` and the space block as ``[..., 1:]``.
+The tangent space at the origin is R^d (its time coordinate is identically
+0), so tangents there are d-wide: ``exp_o_rows`` takes them,
+``log_o_rows`` returns them, and ``boost_rows`` reads each as the Lorentz
+boost that carries the origin to its exponential. The network's linear
+layers and activations act on these tangents directly, and its hyperbolic
+bias is one boost: the boost of ``u`` applied to ``exp_o(b)`` is
+``exp_h(PT_{o->h}(b))`` at ``h = exp_o(u)``. All ops reduce over the last
+axis and are fully differentiable (including through ``k``). The network,
+the loss and ``hcgr check`` are built from them.
 
 Numerical guards: arguments of arcosh are floored at exactly 1 (so coincident
 points get distance exactly 0), squared norms are floored before square roots
@@ -138,16 +139,15 @@ def exp_map_rows(X: Tensor, V: Tensor, k) -> Tensor:
     return ad.primitive(np.concatenate([time, space], axis=-1), "exp_map_rows", (X, V, k), back)
 
 
-def weighted_log_rows(A: Tensor, X: Tensor, k, slots: np.ndarray | None = None) -> Tensor:
+def weighted_log_rows(A: Tensor, X: Tensor, k, slots: np.ndarray) -> Tensor:
     """Weighted sums of logarithms between the rows of one set of points, as
     one autodiff node: row i is sum_{j != i} A_ij log_{x_i}(x_j).
 
-    X is (..., n, d+1) and A is (..., n, n). With ``slots``, X holds packed
-    (N, d+1) rows instead, and so does the result: row r sits at flat
-    position slots[r] of A's (..., n) slots, and every other slot holds the
-    zero row. A must give the zero rows weight 0: they yield G = 0,
-    distance 0 and a finite coefficient, so the result stays finite, but
-    only weight 0 leaves the sums unchanged. Through the Lorentz Gram matrix
+    X holds packed (N, d+1) rows and A is (..., n, n), and the result has
+    X's rows: row r sits at flat position slots[r] of A's (..., n) slots,
+    and every other slot holds the zero row. A must give the zero rows
+    weight 0: they yield G = 0, distance 0 and a finite coefficient, so the
+    result stays finite, but only weight 0 leaves the sums unchanged. Through the Lorentz Gram matrix
     G = <x_i, x_j>_L, log_{x_i}(x_j) = d_ij / |u_ij| (x_j + (G_ij / k) x_i)
     with d_ij = sqrt(k) arcosh(max(-G_ij / k, 1)) and |u_ij|^2 = G_ij^2 / k - k
     floored at MIN_SQ_NORM, so the sum is C X + diag(C G^T / k) X with
@@ -158,7 +158,7 @@ def weighted_log_rows(A: Tensor, X: Tensor, k, slots: np.ndarray | None = None) 
     """
     A, X, k = ad.as_tensor(A), ad.as_tensor(X), ad.as_tensor(k)
     a, kd = A.data, k.data
-    x = X.data if slots is None else slot_layout(X.data, slots, a.shape[:-1])
+    x = slot_layout(X.data, slots, a.shape[:-1])
     sk = np.sqrt(kd)
     mask = _flip_mask(x.shape[-1])
     xt = np.swapaxes(x, -1, -2)
@@ -176,8 +176,7 @@ def weighted_log_rows(A: Tensor, X: Tensor, k, slots: np.ndarray | None = None) 
     self_coef = (C * G).sum(axis=-1, keepdims=True) / kd
 
     def back(g):
-        if slots is not None:
-            g = slot_layout(g, slots, a.shape[:-1])
+        g = slot_layout(g, slots, a.shape[:-1])
         g_self = (g * x).sum(axis=-1, keepdims=True)
         gX = np.swapaxes(C, -1, -2) @ g + g * self_coef
         g_C = (g @ xt + (g_self / kd) * G) * off_diag
@@ -195,13 +194,10 @@ def weighted_log_rows(A: Tensor, X: Tensor, k, slots: np.ndarray | None = None) 
             - (g_self * self_coef).sum() / kd
             + (g_dist * acosh).sum() / (2.0 * sk)
         )
-        if slots is not None:
-            gX = gX.reshape(-1, gX.shape[-1])[slots]
+        gX = gX.reshape(-1, gX.shape[-1])[slots]
         return ((A, g_C * dist * inv), (X, gX), (k, np.asarray(g_k)))
 
-    out = C @ x + x * self_coef
-    if slots is not None:
-        out = out.reshape(-1, out.shape[-1])[slots]
+    out = (C @ x + x * self_coef).reshape(-1, x.shape[-1])[slots]
     return ad.primitive(out, "weighted_log_rows", (A, X, k), back)
 
 
@@ -285,41 +281,46 @@ def log_o_rows(X: Tensor, k) -> Tensor:
     return ad.primitive(space * coef, "log_o_rows", (X, k), back)
 
 
-def transport_from_o_rows(Y: Tensor, B: Tensor, k) -> Tensor:
-    """Parallel transport of d-wide tangent-at-origin rows B to base rows Y.
+def boost_rows(U: Tensor, Y: Tensor, k) -> Tensor:
+    """The Lorentz boost that carries the origin to exp_o(u), applied to Y,
+    as one autodiff node; U is d-wide origin tangent rows and Y (d+1)-wide
+    rows, or one row shared by every row of U.
 
-    B has the rows of Y, or is a single (d,) tangent carried to every row;
-    the result is (d+1)-wide. Uses the closed form
-    PT_{o->y}(b) = b + <y,b>_L / (k + sqrt(k) y_0) (o + y), the geodesic
-    transport v + <y,v>_L / (k - <x,y>_L) (x + y) at x = o; the denominator
-    is at least 2k on the upper sheet. b's time coordinate is 0, so <y,b>_L is the
-    dot product of y's space block with b. One autodiff node, with the
-    backward pass written out by hand.
+    With n = sqrt(max(|u|^2, MIN_SQ_NORM)), r = n / sqrt(k), e = u / n and
+    a = e . y_s, a row y = (y_0, y_s) maps to
+    (cosh r y_0 + sinh r a, y_s + ((cosh r - 1) a + sinh r y_0) e): a
+    hyperbolic rotation by r in the plane of the time axis and e, fixing
+    its orthogonal complement. The map is linear and keeps the Lorentz
+    product, takes o to exp_o(u) and a tangent (0, b) at o to its parallel
+    transport there, so applied to exp_o(b) it gives the HGCN bias
+    exp_h(PT_{o->h}(b)) at h = exp_o(u) without forming h or the
+    transported tangent. The backward pass is written out by hand; the floor
+    on |u|^2 stops the norm's gradient, as a clamp would.
     """
-    Y, B, k = ad.as_tensor(Y), ad.as_tensor(B), ad.as_tensor(k)
+    U, Y, k = ad.as_tensor(U), ad.as_tensor(Y), ad.as_tensor(k)
     sk = np.sqrt(k.data)
-    y0, space, b = Y.data[..., 0:1], Y.data[..., 1:], B.data
-    num = (space * b).sum(axis=-1, keepdims=True)
-    den = sk * y0 + k.data
-    coef = num / den
-    out = np.concatenate([(y0 + sk) * coef, b + space * coef], axis=-1)
+    u, y0, ys = U.data, Y.data[..., 0:1], Y.data[..., 1:]
+    sq = (u * u).sum(axis=-1, keepdims=True)
+    nrm = np.sqrt(np.clip(sq, MIN_SQ_NORM, None))
+    arg = nrm / sk
+    cosh, sinh = np.cosh(arg), np.sinh(arg)
+    e = u / nrm
+    a = (e * ys).sum(axis=-1, keepdims=True)
+    m = (cosh - 1.0) * a + sinh * y0
+    out = np.concatenate([cosh * y0 + sinh * a, ys + m * e], axis=-1)
 
     def back(g):
         g_time, g_space = g[..., 0:1], g[..., 1:]
-        g_coef = g_time * (y0 + sk) + (g_space * space).sum(axis=-1, keepdims=True)
-        g_num = g_coef / den
-        g_den = -g_coef * coef / den
-        gY = np.empty(Y.shape)
-        gY[..., 0:1] = g_time * coef + g_den * sk
-        gY[..., 1:] = g_space * coef + g_num * b
-        gB = ad._unbroadcast(g_space + g_num * space, B.shape)
-        g_sk = (g_time * coef).sum() + (g_den * y0).sum()
-        return ((Y, gY), (B, gB), (k, np.asarray(g_den.sum() + g_sk / (2.0 * sk))))
+        g_m = (g_space * e).sum(axis=-1, keepdims=True)
+        g_a = g_time * sinh + g_m * (cosh - 1.0)
+        g_arg = (g_time * y0 + g_m * a) * sinh + (g_time * a + g_m * y0) * cosh
+        g_e = g_space * m + g_a * ys
+        # e = u / n and arg = n / sqrt(k); the norm passes g_n u / n on to u,
+        # except under the floor
+        g_nrm = g_arg / sk - (g_e * u).sum(axis=-1, keepdims=True) / (nrm * nrm)
+        gU = g_e / nrm + u * ((g_nrm / nrm) * (sq >= MIN_SQ_NORM))
+        gY = np.concatenate([g_time * cosh + g_m * sinh, g_space + g_a * e], axis=-1)
+        g_sk = -(g_arg * arg).sum() / sk
+        return ((U, gU), (Y, ad._unbroadcast(gY, Y.shape)), (k, np.asarray(g_sk / (2.0 * sk))))
 
-    return ad.primitive(out, "transport_from_o_rows", (Y, B, k), back)
-
-
-def hyp_bias_add_rows(X: Tensor, b: Tensor, k) -> Tensor:
-    """Hyperbolic bias: exp_x(PT_{o->x}(b)) per row; b is a (d,) tangent at o,
-    so any parameter vector is a valid one."""
-    return exp_map_rows(X, transport_from_o_rows(X, b, k), k)
+    return ad.primitive(out, "boost_rows", (U, Y, k), back)

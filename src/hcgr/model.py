@@ -38,7 +38,11 @@ them through the origin, exp_o under the next curvature of log_o under the
 last, is the identity on these tangents. So a stage maps onto its own
 hyperboloid, as (N, d+1) points, only where a manifold operation needs
 points: the Gram matrix and the logarithms at each node in graph
-attention, and the hyperbolic biases in each block's feed-forward.
+attention, and the hyperbolic biases in each block's feed-forward. A bias b
+is added as in HGCN, exp_h(PT_{o->h}(b)) at h = exp_o(u) for a layer's
+output tangent u; that point is the Lorentz boost carrying the origin to h
+applied to exp_o(b), so the feed-forward maps only its bias onto the
+hyperboloid, boosts it by each row's u and takes the result back with log_o.
 
 Padding exists only inside the two attention computations: the pair
 scores and the weighted logarithms of graph attention, and the scores,
@@ -521,9 +525,11 @@ class HCGRModel:
         The projections and the feed-forward work on the packed rows; only
         the attention itself lays them out in the (B, n_max) slots, where
         ``sb.key_mask`` offsets the logits of padding keys by MASK_LOGIT.
-        The attention works on the tangents themselves. The feed-forward maps
-        onto the hyperboloid of curvature k only for its two hyperbolic
-        biases, and takes each result back to the origin tangent space.
+        The attention works on the tangents themselves. Each half of the
+        feed-forward adds its hyperbolic bias b to the linear map's output
+        tangents u on the hyperboloid of curvature k as one Lorentz boost:
+        the boost of u applied to exp_o(b) is exp_h(PT_{o->h}(b)) at
+        h = exp_o(u), and log_o takes it back to the origin tangent space.
         """
         q = ad.matmul(T, blk.w_query)
         key = ad.matmul(T, blk.w_key)
@@ -531,11 +537,9 @@ class HCGRModel:
         # 1/sqrt(d + 1), not 1/sqrt(d): the temperature the model and the oracle are defined with
         f_tan, attn = self_attention(q, key, v, sb.key_mask, sb.slots, math.sqrt(self.hyper.dim + 1))
 
-        h1 = manifold.exp_o_rows(ad.matmul(f_tan, ad.transpose(blk.ff_w1)), k)
-        h1 = manifold.hyp_bias_add_rows(h1, blk.ff_b1, k)
+        h1 = manifold.boost_rows(ad.matmul(f_tan, ad.transpose(blk.ff_w1)), manifold.exp_o_rows(blk.ff_b1, k), k)
         act_tan = ad.leaky_relu(manifold.log_o_rows(h1, k), 0.2)
-        h2 = manifold.exp_o_rows(ad.matmul(act_tan, ad.transpose(blk.ff_w2)), k)
-        h2 = manifold.hyp_bias_add_rows(h2, blk.ff_b2, k)
+        h2 = manifold.boost_rows(ad.matmul(act_tan, ad.transpose(blk.ff_w2)), manifold.exp_o_rows(blk.ff_b2, k), k)
         return ad.add(manifold.log_o_rows(h2, k), f_tan), attn
 
 

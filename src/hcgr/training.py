@@ -34,7 +34,7 @@ from . import autodiff as ad
 from . import manifold
 from .autodiff import Tensor
 from .metrics import RankingMetrics, evaluate
-from .model import HCGRModel, ModelCaches, initial_constant
+from .model import HCGRModel, initial_constant
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -239,7 +239,6 @@ def total_loss(
     batch: list[tuple[list[int], int]],
     negatives: list[np.ndarray],
     cfg: TrainConfig,
-    caches: ModelCaches | None = None,
 ) -> Tensor:
     """Weighted batch objective from one batched forward pass.
 
@@ -248,8 +247,7 @@ def total_loss(
     """
     if not batch:
         raise ValueError("total_loss: empty batch")
-    if caches is None:
-        caches = model.caches()
+    caches = model.caches()
     result = model.forward(model.batch([session for session, _ in batch]), caches=caches)
     targets = np.array([target for _, target in batch], dtype=np.intp)
     ce = cross_entropy_loss(result.logits, targets)

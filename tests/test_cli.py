@@ -407,22 +407,36 @@ class TestCheck:
     def test_stretched_log_map_fails_roundtrip(self, monkeypatch, capsys):
         true_log = manifold.weighted_log_rows
 
-        def stretched(A, X, k, slots=None):
+        def stretched(A, X, k, slots):
             return ad.mul(true_log(A, X, k, slots), 1.001)
 
         monkeypatch.setattr(manifold, "weighted_log_rows", stretched)
         assert run("check", "--level", "quick") == 1
         assert "[FAIL] exp/log roundtrip" in capsys.readouterr().out
 
-    def test_stretched_transport_bias_fails_isometry(self, monkeypatch, capsys):
-        true_transport = manifold.transport_from_o_rows
+    def test_stretched_boost_fails_isometry(self, monkeypatch, capsys):
+        true_boost = manifold.boost_rows
 
-        def stretched(Y, B, k):
-            return true_transport(Y, ad.mul(B, 1.001), k)
+        def stretched(U, Y, k):
+            return true_boost(U, ad.mul(Y, 1.001), k)
 
-        monkeypatch.setattr(manifold, "transport_from_o_rows", stretched)
+        monkeypatch.setattr(manifold, "boost_rows", stretched)
         assert run("check", "--level", "quick") == 1
         assert "[FAIL] transport inner-product preservation" in capsys.readouterr().out
+
+    def test_stretched_distance_fails_log_length(self, monkeypatch, capsys):
+        # a multiple of the metric keeps symmetry, the triangle inequality
+        # and d(x, x) = 0; only the length of the log map tells them apart
+        true_dist = manifold.dist_rows
+
+        def stretched(X, Y, k):
+            return ad.mul(true_dist(X, Y, k), 1.001)
+
+        monkeypatch.setattr(manifold, "dist_rows", stretched)
+        assert run("check", "--level", "quick") == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] distance equals log length" in out
+        assert out.count("[FAIL]") == 1
 
 
 class TestSeedFallback:

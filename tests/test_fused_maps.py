@@ -1,6 +1,7 @@
 """The fused manifold maps, softplus, the graph-attention aggregation and
 the model's two attention nodes, each one autodiff node, against the chains
-of primitives they replaced.
+of primitives they replaced (the boost, which never was a chain, against the
+chain that writes out its formula).
 
 A fused op's forward runs its chain's numpy operations in the chain's order,
 so its value has the chain's bytes. Its hand-written backward agrees with
@@ -17,6 +18,7 @@ from hcgr.model import ATTN_SLOPE, HCGRModel, HyperParams, pair_attention, self_
 
 import ref_ops as ref
 from test_autodiff import check_grad
+from test_manifold import _exp_o_composed
 
 D = 3
 SHAPES = ((5,), (2, 4))  # leading axes of 2-D and 3-D inputs
@@ -41,11 +43,16 @@ def composed_exp_map(X, V, k):
     return ref.concat([time, space], axis=-1)
 
 
-def composed_transport_from_o(Y, B, k):
+def composed_boost(U, Y, k):
     sk = ad.sqrt(ad.as_tensor(k))
-    y0, space = Y[..., 0:1], Y[..., 1:]
-    coef = ad.div(ad.tsum(ad.mul(space, B), axis=-1, keepdims=True), ad.add(ad.mul(sk, y0), k))
-    return ref.concat([ad.mul(ad.add(y0, sk), coef), ad.add(B, ad.mul(space, coef))], axis=-1)
+    nrm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(U, U), axis=-1, keepdims=True), lo=mf.MIN_SQ_NORM))
+    arg = ad.div(nrm, sk)
+    cosh, sinh = ref.cosh(arg), ref.sinh(arg)
+    e = ad.div(U, nrm)
+    y0, ys = Y[..., 0:1], Y[..., 1:]
+    a = ad.tsum(ad.mul(e, ys), axis=-1, keepdims=True)
+    m = ad.add(ad.mul(ad.sub(cosh, 1.0), a), ad.mul(sinh, y0))
+    return ref.concat([ad.add(ad.mul(cosh, y0), ad.mul(sinh, a)), ad.add(ys, ad.mul(m, e))], axis=-1)
 
 
 def composed_weighted_log(A, X, k):
@@ -70,32 +77,65 @@ def _points(rng, lead, k):
 
 
 def _tangents_at(rng, X, k):
-    return mf.transport_from_o_rows(ad.constant(X), ad.constant(rng.normal(size=X.shape[:-1] + (D,))), k).data
+    """Tangents at X: tangents (0, b) at the origin, boosted to X."""
+    b = np.pad(rng.normal(size=X.shape[:-1] + (D,)), [(0, 0)] * (X.ndim - 1) + [(1, 0)])
+    return mf.boost_rows(mf.log_o_rows(ad.constant(X), k), ad.constant(b), k).data
 
 
 def _inputs(name, lead, seed):
     """Inputs of one op on separated points, curvature last (0-d array)."""
     rng = np.random.default_rng(seed)
     k = np.array(1.0 + 0.3 * seed)
+    if name == "boost_rows":
+        # a point per row on 2-D inputs, one point for all rows on 3-D ones
+        return [rng.normal(size=lead + (D,)), _points(rng, lead if len(lead) == 1 else (), k), k]
     X = _points(rng, lead, k)
     if name == "log_o_rows":
         return [X, k]
     if name == "exp_map_rows":
         return [X, _tangents_at(rng, X, k), k]
-    if name == "transport_from_o_rows":
-        # a bias per row on 2-D inputs, one bias for all rows on 3-D ones
-        return [X, rng.normal(size=(lead if len(lead) == 1 else ()) + (D,)), k]
-    # weighted_log_rows: row-stochastic weights over the n points
+    # weighted_log_rows: row-stochastic weights over each set of n points,
+    # given as packed rows
     logits = rng.normal(size=lead + (lead[-1],))
     A = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
-    return [A, X, k]
+    return [A, X.reshape(-1, D + 1), k]
 
 
+def _to_slots(t, slots, lead):
+    """Packed (N, w) rows laid out in the slots of the lead axes, zero rows
+    in the padding, as a gather from the rows plus one zero row."""
+    n = t.shape[0]
+    index = np.full(int(np.prod(lead)), n)
+    index[slots] = np.arange(n)
+    rows = ref.concat([t, ad.constant(np.zeros((1, t.shape[-1])))], axis=0)
+    return ad.take_rows(rows, index.reshape(lead))
+
+
+def _from_slots(t, slots):
+    return ad.take_rows(ref.reshape(t, (-1, t.shape[-1])), slots)
+
+
+def composed_packed_weighted_log(slots):
+    """The padded chain between a scatter of the packed rows into A's slots
+    and a gather of the result."""
+    return lambda A, X, k: _from_slots(composed_weighted_log(A, _to_slots(X, slots, A.shape[:-1]), k), slots)
+
+
+def _every_slot(A, X, k):
+    """weighted_log_rows on packed rows that fill every slot."""
+    return mf.weighted_log_rows(A, X, k, np.arange(X.shape[0]))
+
+
+def _every_slot_composed(A, X, k):
+    return composed_packed_weighted_log(np.arange(X.shape[0]))(A, X, k)
+
+
+# each fused map and the chain it is checked against
 MAPS = {
-    "log_o_rows": composed_log_o,
-    "exp_map_rows": composed_exp_map,
-    "transport_from_o_rows": composed_transport_from_o,
-    "weighted_log_rows": composed_weighted_log,
+    "log_o_rows": (mf.log_o_rows, composed_log_o),
+    "exp_map_rows": (mf.exp_map_rows, composed_exp_map),
+    "boost_rows": (mf.boost_rows, composed_boost),
+    "weighted_log_rows": (_every_slot, _every_slot_composed),
 }
 
 
@@ -116,27 +156,68 @@ def _assert_grads_match(fused, composed, arrays, rel=1e-12):
 class TestFusedMaps:
     def test_is_one_node(self, name):
         tensors = [ad.Tensor(a, requires_grad=True) for a in _inputs(name, (4,), 0)]
-        out = getattr(mf, name)(*tensors)
+        out = MAPS[name][0](*tensors)
         assert out._parents == tuple(tensors)
 
     @pytest.mark.parametrize("lead", SHAPES)
     def test_forward_bytes_equal_composed_chain(self, name, lead):
+        fused, composed = MAPS[name]
         for seed in range(3):
             arrays = _inputs(name, lead, seed)
             args = [ad.constant(a) for a in arrays]
-            assert getattr(mf, name)(*args).data.tobytes() == MAPS[name](*args).data.tobytes()
+            assert fused(*args).data.tobytes() == composed(*args).data.tobytes()
             # a plain float curvature, as checks.manifold_check passes
             args[-1] = float(arrays[-1])
-            assert getattr(mf, name)(*args).data.tobytes() == MAPS[name](*args).data.tobytes()
+            assert fused(*args).data.tobytes() == composed(*args).data.tobytes()
 
     @pytest.mark.parametrize("lead", SHAPES)
     def test_gradients_match_composed_chain(self, name, lead):
         for seed in range(3):
-            _assert_grads_match(getattr(mf, name), MAPS[name], _inputs(name, lead, seed))
+            _assert_grads_match(*MAPS[name], _inputs(name, lead, seed))
 
     @pytest.mark.parametrize("lead", SHAPES)
     def test_gradients_match_central_differences(self, name, lead):
-        check_grad(getattr(mf, name), *_inputs(name, lead, 1))
+        check_grad(MAPS[name][0], *_inputs(name, lead, 1))
+
+
+def composed_transport_from_o(Y, B, k):
+    """Transport of d-wide tangents B at the origin to the points Y:
+    b + <y,b>_L / (k + sqrt(k) y_0) (o + y)."""
+    sk = ad.sqrt(ad.as_tensor(k))
+    y0, space = Y[..., 0:1], Y[..., 1:]
+    coef = ad.div(ad.tsum(ad.mul(space, B), axis=-1, keepdims=True), ad.add(ad.mul(sk, y0), k))
+    return ref.concat([ad.mul(ad.add(y0, sk), coef), ad.add(B, ad.mul(space, coef))], axis=-1)
+
+
+def composed_bias_chain(U, B, k):
+    """The feed-forward's bias as three maps, log_o(exp_h(PT_{o->h}(b))) at
+    h = exp_o(u)."""
+    H = _exp_o_composed(U, k)
+    return composed_log_o(composed_exp_map(H, composed_transport_from_o(H, B, k), k), k)
+
+
+def boosted_bias(U, B, k):
+    """The same bias as the feed-forward adds it, through one boost."""
+    return mf.log_o_rows(mf.boost_rows(U, mf.exp_o_rows(B, k), k), k)
+
+
+class TestBoostAgainstBiasChain:
+    """Where the three-map chain is accurate, |u| / sqrt(k) <= 3 (its error
+    grows like eps e^(2 |u| / sqrt(k))), the boosted bias has the chain's
+    value and gradients to 1e-12."""
+
+    @pytest.mark.parametrize("d", [D, 16])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_value_and_gradients_match_the_chain(self, d, k):
+        rng = np.random.default_rng(3)
+        for radius in (0.1, 1.0, 2.0, 3.0):
+            U = rng.normal(size=(6, d))
+            U *= radius * np.sqrt(k) / np.linalg.norm(U, axis=1, keepdims=True)
+            arrays = [U, rng.normal(size=d), np.array(k)]
+            got = boosted_bias(*map(ad.constant, arrays)).data
+            want = composed_bias_chain(*map(ad.constant, arrays)).data
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), radius
+            _assert_grads_match(boosted_bias, composed_bias_chain, arrays)
 
 
 class TestFloorRows:
@@ -171,11 +252,22 @@ class TestFloorRows:
         self._check(mf.log_o_rows, composed_log_o, [X, k])
 
     @pytest.mark.parametrize("lead", SHAPES)
-    def test_weighted_log_with_a_padding_slot_repeating_a_real_node(self, lead):
-        # slot 3 is padding: it repeats the point of real node 0, neighbours
-        # only itself and is masked as a key, as HCGRModel.batch lays it out
+    def test_boost_floored_tangent_norm(self, lead):
+        U, Y, k = _inputs("boost_rows", lead, 2)
+        # a zero tangent: the boost is the identity
+        U.reshape(-1, D)[1] = 0.0
+        self._check(mf.boost_rows, composed_boost, [U, Y, k])
+        out = mf.boost_rows(ad.constant(U), ad.constant(Y), k).data
+        assert np.array_equal(out.reshape(-1, D + 1)[1], np.broadcast_to(Y, out.shape).reshape(-1, D + 1)[1])
+
+    @pytest.mark.parametrize("lead", SHAPES)
+    def test_weighted_log_with_a_padding_slot(self, lead):
+        # slot 3 of each set is padding: a zero row that neighbours only
+        # itself and is masked as a key, as HCGRModel.batch lays it out; its
+        # pairs with real nodes floor both arcosh's argument and |u|^2
         _, X, k = _inputs("weighted_log_rows", lead, 2)
-        X[..., 3, :] = X[..., 0, :]
+        slots = np.flatnonzero(np.arange(X.shape[0]) % lead[-1] != 3)
+        X = X[slots]
         bias = np.zeros(lead + (lead[-1],))
         bias[..., 3, :] = bias[..., :, 3] = -1e30
         bias[..., 3, 3] = 0.0
@@ -184,10 +276,8 @@ class TestFloorRows:
         def attend(aggregate):
             return lambda L, X, k: aggregate(ad.softmax_rows(ad.add(L, ad.constant(bias))), X, k)
 
-        self._check(attend(mf.weighted_log_rows), attend(composed_weighted_log), [logits, X, k])
-        # the padding row aggregates an exactly zero tangent
-        out = mf.weighted_log_rows(ad.softmax_rows(ad.constant(logits + bias)), ad.constant(X), k).data
-        assert np.all(out[..., 3, :] == 0.0)
+        fused = lambda A, X, k: mf.weighted_log_rows(A, X, k, slots)
+        self._check(attend(fused), attend(composed_packed_weighted_log(slots)), [logits, X, k])
 
 
 class TestFusedSoftplus:
@@ -225,24 +315,10 @@ def _batch():
     return HCGRModel.create(HyperParams(dim=D), 6, seed=0).batch(SESSIONS)
 
 
-def _to_slots(t, sb):
-    """Packed (N, w) rows laid out in the batch's slots, zero rows in the
-    padding, as a gather from the rows plus one zero row."""
-    n = t.shape[0]
-    index = np.full(sb.node_ids.size, n)
-    index[sb.slots] = np.arange(n)
-    rows = ref.concat([t, ad.constant(np.zeros((1, t.shape[-1])))], axis=0)
-    return ad.take_rows(rows, index.reshape(sb.node_ids.shape))
-
-
-def _from_slots(t, sb):
-    return ad.take_rows(ref.reshape(t, (-1, t.shape[-1])), sb.slots)
-
-
 def composed_pair_attention(sb):
     def op(T, attn_w, attn_b):
-        a_row = _to_slots(ref.reshape(ad.matmul(T, attn_w[:D]), (-1, 1)), sb)  # (B, n, 1)
-        a_col = ad.transpose(_to_slots(ref.reshape(ad.matmul(T, attn_w[D:]), (-1, 1)), sb))  # (B, 1, n)
+        a_row = _to_slots(ref.reshape(ad.matmul(T, attn_w[:D]), (-1, 1)), sb.slots, sb.node_ids.shape)  # (B, n, 1)
+        a_col = ad.transpose(_to_slots(ref.reshape(ad.matmul(T, attn_w[D:]), (-1, 1)), sb.slots, sb.node_ids.shape))  # (B, 1, n)
         pair = ad.add(ad.add(a_row, a_col), attn_b)
         return ad.softmax_rows(ad.add(ad.leaky_relu(pair, ATTN_SLOPE), ad.constant(sb.bias)))
 
@@ -251,16 +327,12 @@ def composed_pair_attention(sb):
 
 def composed_self_attention(sb, temperature):
     def op(q, key, v):
-        q, key, v = (_to_slots(t, sb) for t in (q, key, v))
+        q, key, v = (_to_slots(t, sb.slots, sb.node_ids.shape) for t in (q, key, v))
         scores = ad.div(ad.matmul(q, ad.transpose(key)), temperature)
         attn = ad.softmax_rows(ad.add(scores, ad.constant(sb.key_mask)))
-        return _from_slots(ad.matmul(attn, v), sb)
+        return _from_slots(ad.matmul(attn, v), sb.slots)
 
     return op
-
-
-def composed_packed_weighted_log(sb):
-    return lambda A, X, k: _from_slots(composed_weighted_log(A, _to_slots(X, sb), k), sb)
 
 
 class TestPackedAttentions:
@@ -307,5 +379,5 @@ class TestPackedAttentions:
         X = _points(rng, (len(sb.slots),), k)
         logits = rng.normal(size=sb.bias.shape)
         fused = lambda L, X, k: mf.weighted_log_rows(ad.softmax_rows(ad.add(L, ad.constant(sb.bias))), X, k, sb.slots)
-        composed = composed_packed_weighted_log(sb)
+        composed = composed_packed_weighted_log(sb.slots)
         self._check(fused, lambda L, X, k: composed(ad.softmax_rows(ad.add(L, ad.constant(sb.bias))), X, k), [logits, X, k])

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -39,7 +40,7 @@ def random_tangent(rng, x, k, max_norm=2.0):
     origin, (d+1,)."""
     b = rng.normal(size=len(x) - 1)
     b *= rng.uniform(1e-3, max_norm) / np.linalg.norm(b)
-    return first(mf.transport_from_o_rows(row(x), ad.constant(b), k))
+    return transport(x, b, k)
 
 
 def inner(x, y) -> float:
@@ -62,14 +63,20 @@ def exp_map(x, v, k):
 
 def log_map(x, y, k):
     """log_x(y) through the network's log map: row 0 of weighted_log_rows
-    over the pair [x, y], weight 1 on (0, 1) and 0 elsewhere."""
+    over the packed pair [x, y], weight 1 on (0, 1) and 0 elsewhere."""
     pair = ad.constant(np.stack([x, y]))
-    return first(mf.weighted_log_rows(ad.constant([[0.0, 1.0], [0.0, 0.0]]), pair, k))
+    return first(mf.weighted_log_rows(ad.constant([[0.0, 1.0], [0.0, 0.0]]), pair, k, np.arange(2)))
+
+
+def boost(x, y, k):
+    """y under the boost that carries the origin to the point x, (d+1,)."""
+    return first(mf.boost_rows(mf.log_o_rows(row(x), k), row(y), k))
 
 
 def transport(y, b, k):
-    """A d-wide tangent b at the origin carried to y, (d+1,)."""
-    return first(mf.transport_from_o_rows(row(y), ad.constant(b), k))
+    """A d-wide tangent b at the origin carried to y, (d+1,): the boost of
+    (0, b)."""
+    return boost(y, np.concatenate([[0.0], b]), k)
 
 
 class TestLorentzInner:
@@ -197,7 +204,8 @@ class TestExpLog:
 
 
 class TestParallelTransport:
-    """Transport from the origin, the one transport the network runs."""
+    """Transport from the origin, the one transport the network runs, as the
+    boost that carries the origin to the destination applied to (0, b)."""
 
     def test_identity_at_same_point(self):
         rng = np.random.default_rng(6)
@@ -243,7 +251,9 @@ class TestLinearOps:
 
     @staticmethod
     def bias_add(x, b, k):
-        return first(mf.hyp_bias_add_rows(row(x), ad.constant(b), k))
+        """The hyperbolic bias as the feed-forward adds it: the boost that
+        carries the origin to x, applied to exp_o(b)."""
+        return boost(x, first(mf.exp_o_rows(row(b), k)), k)
 
     @staticmethod
     def activation(x, act, k_from, k_to):
@@ -327,6 +337,57 @@ class TestLinearOps:
             got = self.activation(x, lambda t: ad.leaky_relu(t, 0.2), k_from, k_to)
             want = oracle.hyp_activation(x, lambda t: np.where(t > 0, t, 0.2 * t), k_from, k_to)
             assert np.abs(got - want).max() < 1e-9
+
+
+def _bias_reference(u, b, k: float) -> np.ndarray:
+    """log_o(exp_h(PT_{o->h}(b))) at h = exp_o(u), the hyperbolic bias as
+    three maps, evaluated in 60-digit decimal arithmetic from the float
+    inputs' exact values."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        u = [decimal.Decimal(float(c)) for c in u]
+        b = [decimal.Decimal(float(c)) for c in b]
+        k = decimal.Decimal(k)
+        sk = k.sqrt()
+
+        def cosh(t):
+            return (t.exp() + (-t).exp()) / 2
+
+        def sinh(t):
+            return (t.exp() - (-t).exp()) / 2
+
+        n = sum(c * c for c in u).sqrt()
+        h = [sk] + [decimal.Decimal(0)] * len(u)
+        if n:
+            h = [sk * cosh(n / sk)] + [sk * sinh(n / sk) * c / n for c in u]
+        coef = sum(hc * bc for hc, bc in zip(h[1:], b)) / (k + sk * h[0])
+        v = [coef * (h[0] + sk)] + [bc + coef * hc for bc, hc in zip(b, h[1:])]
+        nv = (sum(c * c for c in v[1:]) - v[0] * v[0]).sqrt()
+        x = [cosh(nv / sk) * hc + sk * sinh(nv / sk) * vc / nv for hc, vc in zip(h, v)]
+        z = x[0] / sk
+        dist = sk * (z + (z * z - 1).sqrt()).ln()
+        ns = sum(c * c for c in x[1:]).sqrt()
+        return np.array([float(dist * c / ns) for c in x[1:]])
+
+
+class TestFeedForwardBias:
+    """The feed-forward's bias, log_o(boost_rows(u, exp_o_rows(b))), against
+    the three-map chain in 60-digit arithmetic, at d = 64 and out to
+    |u| / sqrt(k) = 40, where forming h = exp_o(u) and measuring the
+    transported tangent at h overflows float64."""
+
+    @pytest.mark.parametrize("radius", [0, 1, 5, 10, 15, 22, 26, 40])
+    def test_matches_sixty_digit_chain(self, radius):
+        rng = np.random.default_rng(23)
+        for k in (0.5, 1.0, 2.0):
+            U = rng.normal(size=(4, 64))
+            U *= radius * math.sqrt(k) / np.linalg.norm(U, axis=1, keepdims=True)
+            b = rng.normal(size=64)
+            b *= 2.4 / np.linalg.norm(b)
+            got = mf.log_o_rows(mf.boost_rows(ad.constant(U), mf.exp_o_rows(ad.constant(b), k), k), k).data
+            for u, g in zip(U, got):
+                want = _bias_reference(u, b, k)
+                assert np.linalg.norm(g - want) <= 1e-14 * np.linalg.norm(want), (k, radius)
 
 
 class TestTimeRepair:

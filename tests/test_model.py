@@ -665,8 +665,9 @@ class TestSelfPairs:
             for item in range(model.catalog_size):
                 tangents.clear()
                 model.forward([item])
-                # graph layers call exp_map_rows first, then the blocks' biases
-                for V in tangents[:2]:
+                # only the graph layers call exp_map_rows
+                assert len(tangents) == 2
+                for V in tangents:
                     assert np.all(V == 0.0), (seed, item)
 
 
@@ -675,7 +676,8 @@ class TestTangentInterface:
     @pytest.mark.parametrize("layers, blocks", [(1, 1), (2, 2)])
     def test_maps_onto_the_hyperboloid_only_where_points_are_needed(self, monkeypatch, aggregator, layers, blocks):
         # stages hand on origin tangents: each graph layer maps its nodes once
-        # and takes its output back once, each block does so for its two biases
+        # and takes its output back once, each block maps its two biases and
+        # takes the output of each feed-forward half back
         calls = {"exp_o_rows": 0, "log_o_rows": 0}
         for name in calls:
             fn = getattr(mf, name)
@@ -693,14 +695,20 @@ class TestTangentInterface:
     @pytest.mark.parametrize("layers, blocks", [(1, 1), (2, 2)])
     def test_maps_take_only_the_real_node_rows(self, monkeypatch, aggregator, layers, blocks):
         # outside the two attentions no stage computes a padding slot: every
-        # manifold map of a batch receives one row per real node
-        shapes = []
-        for name in ("exp_o_rows", "log_o_rows", "exp_map_rows", "transport_from_o_rows", "weighted_log_rows"):
+        # manifold map of a batch receives one row per real node, except the
+        # maps of the blocks' (d,) biases, which have no rows
+        shapes, biases = [], 0
+        for name in ("exp_o_rows", "log_o_rows", "exp_map_rows", "boost_rows", "weighted_log_rows"):
             fn = getattr(mf, name)
 
             def recorded(*args, _name=name, _fn=fn):
+                nonlocal biases
                 rows = [getattr(a, "shape", ())[:-1] for a in args]
-                # weighted_log_rows's weights keep the (B, n_max, n_max) slots
+                if _name == "exp_o_rows" and rows[0] == ():
+                    biases += 1
+                    return _fn(*args)
+                # weighted_log_rows's weights keep the (B, n_max, n_max) slots;
+                # boost_rows's (d+1,) point is a bias shared by every row
                 shapes.append((_name, rows[1:2] if _name == "weighted_log_rows" else [r for r in rows if r]))
                 return _fn(*args)
 
@@ -711,7 +719,8 @@ class TestTangentInterface:
         n_real = sum(len(set(s)) for s in sessions)
         assert sb.node_ids.size > n_real
         model.forward(sb)
-        assert [name for name, _ in shapes].count("exp_map_rows") == layers + 2 * blocks
+        assert [name for name, _ in shapes].count("exp_map_rows") == layers
+        assert [name for name, _ in shapes].count("boost_rows") == biases == 2 * blocks
         for name, rows in shapes:
             assert rows and all(r == (n_real,) for r in rows), (name, rows)
 

@@ -4,7 +4,9 @@ Every function of ``hcgr.manifold`` and every public name of
 ``hcgr.autodiff`` is loaded somewhere in src/hcgr outside its own
 definition. A primitive that only the tests' reference chains need belongs
 in ``tests/ref_ops.py``; a manifold op that only tests call has no place in
-the package, since ``hcgr check`` sweeps the ops the network runs.
+the package, since ``hcgr check`` sweeps the ops the network runs. Every
+``*_rows`` op is called inside ``checks.manifold_check``, so none of them
+escapes that sweep.
 """
 
 import ast
@@ -53,10 +55,21 @@ def uncalled(module: str, names) -> list[str]:
     return [name for name in names if not found.get(name, set()) - {f"{module}:{name}"}]
 
 
+def manifold_functions() -> list[str]:
+    return [name for name, fn in inspect.getmembers(manifold, inspect.isfunction) if fn.__module__ == manifold.__name__]
+
+
 def test_every_manifold_function_has_a_caller_in_src():
-    names = [name for name, fn in inspect.getmembers(manifold, inspect.isfunction) if fn.__module__ == manifold.__name__]
+    names = manifold_functions()
     assert "weighted_log_rows" in names
     assert uncalled("manifold", names) == []
+
+
+def test_every_row_op_is_swept_by_the_manifold_check():
+    found = loads("manifold")
+    rows = [name for name in manifold_functions() if name.endswith("_rows")]
+    assert {"boost_rows", "dist_rows", "weighted_log_rows"} <= set(rows)
+    assert [name for name in rows if "checks:manifold_check" not in found.get(name, set())] == []
 
 
 def test_every_public_autodiff_name_has_a_caller_in_src():
