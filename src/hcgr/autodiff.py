@@ -22,9 +22,13 @@ matrix or a vector: the reference chains in ``tests/test_fused_maps.py``
 are built from those forms. ``transpose`` swaps the last two axes,
 ``softmax_rows`` normalises over the last axis at any rank, and
 ``take_rows`` gathers by an index array of any shape. The primitives that
-only those reference chains use (exp, log, cosh, sinh, concat, reshape) are
-built on ``primitive`` in ``tests/ref_ops.py``.
+only those reference chains use (neg, sqrt, exp, log, cosh, sinh, arcosh,
+clamp, softplus, concat, reshape) are built on ``primitive`` in
+``tests/ref_ops.py``; each op of ``hcgr.manifold`` is one ``primitive``
+node with a hand-written backward.
 
+A tensor is indexed by integers and slices only; an index array raises, and
+``take_rows`` gathers rows by one, adding the gradients of repeated rows.
 Indexing a tensor with a basic slice (``X[..., 1:]``) and transposing a 2-D
 tensor return views of its data rather than copies. Nothing may write into
 a node's ``.data`` in place while a graph that uses it is alive; the
@@ -55,25 +59,16 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "matmul",
     "transpose",
     "take_rows",
     "tsum",
     "softmax_rows",
     "softmax_in_place",
-    "sqrt",
-    "arcosh",
     "sigmoid",
     "relu",
     "leaky_relu",
-    "clamp",
-    "softplus",
 ]
-
-# Backward of arcosh evaluates 1/sqrt(u^2 - 1) at u clamped to at least this,
-# bounding the derivative near the branch point u = 1.
-ARCOSH_GRAD_FLOOR = 1.0 + 1e-12
 
 
 class NumericError(ArithmeticError):
@@ -316,15 +311,6 @@ def div(a, b) -> Tensor:
     return _node(a.data / b.data, "div", (a, b), back)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def back(g):
-        return ((a, -g),)
-
-    return _node(-a.data, "neg", (a,), back)
-
-
 # -- linear algebra ------------------------------------------------------
 
 
@@ -411,6 +397,10 @@ class _RowGrad:
 
 
 def _getitem(a: Tensor, key) -> Tensor:
+    # an index array would lose repeated rows from the gradient below
+    if any(isinstance(k, (list, np.ndarray)) for k in (key if isinstance(key, tuple) else (key,))):
+        raise ValueError("a tensor is indexed by integers and slices only; gather rows with take_rows")
+
     # a basic slice is a view of a.data, not a copy (module docstring)
     def back(g):
         ga = np.zeros(a.data.shape)
@@ -467,33 +457,6 @@ def softmax_rows(a) -> Tensor:
 # -- elementwise unary primitives -----------------------------------------
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.sqrt(a.data)
-
-    def back(g):
-        return ((a, g / (2.0 * y)),)
-
-    return _node(y, "sqrt", (a,), back)
-
-
-def arcosh(a) -> Tensor:
-    """Inverse hyperbolic cosine; forward floors its input at exactly 1.
-
-    arcosh(1) = 0 exactly, so coincident points get distance 0. The backward
-    pass evaluates 1/sqrt(u^2-1) at u floored to ARCOSH_GRAD_FLOOR, keeping
-    the gradient finite at the branch point.
-    """
-    a = as_tensor(a)
-    u = np.maximum(a.data, 1.0)
-
-    def back(g):
-        uc = np.maximum(a.data, ARCOSH_GRAD_FLOOR)
-        return ((a, g / np.sqrt(uc * uc - 1.0)),)
-
-    return _node(np.arccosh(u), "arcosh", (a,), back)
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     y = 1.0 / (1.0 + np.exp(-a.data))
@@ -520,38 +483,3 @@ def leaky_relu(a, alpha: float = 0.2) -> Tensor:
         return ((a, np.where(a.data > 0, g, alpha * g)),)
 
     return _node(np.where(a.data > 0, a.data, alpha * a.data), "leaky_relu", (a,), back)
-
-
-def clamp(a, lo=None, hi=None) -> Tensor:
-    """Clip values to [lo, hi]. Entries outside the range get zero gradient."""
-    a = as_tensor(a)
-    if lo is None and hi is None:
-        raise ValueError("clamp needs at least one bound")
-
-    def back(g):
-        mask = np.ones_like(a.data, dtype=bool)
-        if lo is not None:
-            mask &= a.data >= lo
-        if hi is not None:
-            mask &= a.data <= hi
-        return ((a, g * mask),)
-
-    return _node(np.clip(a.data, lo, hi), "clamp", (a,), back)
-
-
-def softplus(a) -> Tensor:
-    """log(1 + exp(a)), computed in overflow-safe form as
-    max(a, 0) + log(1 + exp(-|a|)), as one node.
-
-    The gradient is sigmoid(a), 1 / (1 + e) for a >= 0 and e / (1 + e) for
-    a < 0 with e = exp(-|a|), so it never overflows and is 1/2 at a = 0.
-    """
-    a = as_tensor(a)
-    x = a.data
-    pos = np.maximum(x, 0.0)
-    e = np.exp(-(pos + np.maximum(-x, 0.0)))
-
-    def back(g):
-        return ((a, g * np.where(x >= 0, 1.0, e) / (1.0 + e)),)
-
-    return _node(pos + np.log(1.0 + e), "softplus", (a,), back)

@@ -20,11 +20,14 @@ boost that carries the origin to its exponential. The network's linear
 layers and activations act on these tangents directly, and its hyperbolic
 bias is one boost: the boost of ``u`` applied to ``exp_o(b)`` is
 ``exp_h(PT_{o->h}(b))`` at ``h = exp_o(u)``. All ops reduce over the last
-axis and are fully differentiable (including through ``k``). The network,
-the loss and ``hcgr check`` are built from them.
+axis and are fully differentiable (including through ``k``). Each op, and
+``curvature_from_raw``, records one autodiff node (``ad.primitive``) whose
+forward runs numpy directly and whose backward is written out by hand. The
+network, the loss and ``hcgr check`` are built from them.
 
 Numerical guards: arguments of arcosh are floored at exactly 1 (so coincident
-points get distance exactly 0), squared norms are floored before square roots
+points get distance exactly 0) and its derivative is evaluated at
+ARCOSH_GRAD_FLOOR or above, squared norms are floored before square roots
 so the 0/0 limits of the exponential and logarithmic maps degrade smoothly to
 ``exp_x(0) = x`` and ``log_x(x) = 0``, and points produced away from the
 origin are repaired onto the hyperboloid by recomputing the time coordinate.
@@ -45,6 +48,10 @@ from .autodiff import Tensor
 # point limits finite without branching.
 MIN_SQ_NORM = 1e-30
 
+# The derivative of arcosh, 1/sqrt(u^2 - 1), is evaluated at u floored to
+# this, bounding it near the branch point u = 1.
+ARCOSH_GRAD_FLOOR = 1.0 + 1e-12
+
 # Curvature reparameterization: k = softplus(kappa_raw) + CURVATURE_FLOOR.
 CURVATURE_FLOOR = 1e-4
 # kappa_raw value giving k = 1 exactly under the reparameterization.
@@ -52,8 +59,23 @@ KAPPA_RAW_FOR_UNIT_K = math.log(math.expm1(1.0 - CURVATURE_FLOOR))
 
 
 def curvature_from_raw(kappa_raw) -> Tensor:
-    """Positive curvature parameter k from an unconstrained scalar."""
-    return ad.add(ad.softplus(kappa_raw), CURVATURE_FLOOR)
+    """Positive curvature parameter k = softplus(kappa_raw) + CURVATURE_FLOOR
+    from an unconstrained scalar, as one autodiff node.
+
+    softplus(a) = log(1 + exp(a)) is computed in overflow-safe form as
+    max(a, 0) + log(1 + exp(-|a|)). Its derivative is sigmoid(a), formed as
+    1 / (1 + e) for a >= 0 and e / (1 + e) for a < 0 with e = exp(-|a|), so
+    it never overflows and is 1/2 at a = 0.
+    """
+    raw = ad.as_tensor(kappa_raw)
+    x = raw.data
+    pos = np.maximum(x, 0.0)
+    e = np.exp(-(pos + np.maximum(-x, 0.0)))
+
+    def back(g):
+        return ((raw, g * np.where(x >= 0, 1.0, e) / (1.0 + e)),)
+
+    return ad.primitive(pos + np.log(1.0 + e) + CURVATURE_FLOOR, "curvature_from_raw", (raw,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +115,39 @@ def rowwise_inner(X: Tensor, Y: Tensor) -> Tensor:
 
 
 def dist_rows(X: Tensor, Y: Tensor, k) -> Tensor:
-    """Geodesic distance between paired rows, shape (..., n, 1)."""
-    u = ad.clamp(ad.div(ad.neg(rowwise_inner(X, Y)), k), lo=1.0)
-    return ad.mul(ad.sqrt(ad.as_tensor(k)), ad.arcosh(u))
+    """Geodesic distance between paired rows, shape (..., n, 1), as one
+    autodiff node; X and Y broadcast as in ``rowwise_inner``.
+
+    d = sqrt(k) arcosh(max(-<x,y>_L / k, 1)), so coincident points get
+    distance exactly 0. The backward pass is written out by hand; the floor
+    stops the ratio's gradient, as a clamp would, and arcosh's derivative is
+    evaluated at the ratio floored to ARCOSH_GRAD_FLOOR. k gets its two
+    terms, through sqrt(k) and through the ratio, as two gradients.
+    """
+    X, Y, k = ad.as_tensor(X), ad.as_tensor(Y), ad.as_tensor(k)
+    ad._binary_shapes(X, Y, "dist_rows")
+    kd = k.data
+    mask = _flip_mask(X.shape[-1])
+    flipped = X.data * mask
+    inner = (flipped * Y.data).sum(axis=-1, keepdims=True)
+    ratio = -inner / kd
+    u = np.clip(ratio, 1.0, None)
+    acosh = np.arccosh(u)
+    sk = np.sqrt(kd)
+
+    def back(g):
+        g_sk = ad._unbroadcast(g * acosh, k.shape)
+        uc = np.maximum(u, ARCOSH_GRAD_FLOOR)
+        g_ratio = (g * sk / np.sqrt(uc * uc - 1.0)) * (ratio >= 1.0)
+        g_inner = -(g_ratio / kd)
+        return (
+            (X, ad._unbroadcast(g_inner * Y.data * mask, X.shape)),
+            (Y, ad._unbroadcast(g_inner * flipped, Y.shape)),
+            (k, g_sk / (2.0 * sk)),
+            (k, ad._unbroadcast(g_ratio * inner / (kd * kd), k.shape)),
+        )
+
+    return ad.primitive(sk * acosh, "dist_rows", (X, Y, k), back)
 
 
 def exp_map_rows(X: Tensor, V: Tensor, k) -> Tensor:
@@ -154,7 +206,7 @@ def weighted_log_rows(A: Tensor, X: Tensor, k, slots: np.ndarray) -> Tensor:
     C = A * d / |u|. log_x(x) = 0, so the diagonal of C, a 0/0 that roundoff
     sends to 0 or about 1, is zeroed. The backward pass is written out by
     hand; each floor stops its argument's gradient, as a clamp would, and
-    arcosh's derivative is bounded as in ``ad.arcosh``.
+    arcosh's derivative is evaluated at ARCOSH_GRAD_FLOOR or above.
     """
     A, X, k = ad.as_tensor(A), ad.as_tensor(X), ad.as_tensor(k)
     a, kd = A.data, k.data
@@ -183,7 +235,7 @@ def weighted_log_rows(A: Tensor, X: Tensor, k, slots: np.ndarray) -> Tensor:
         g_G = (g_self / kd) * C
         g_dist = g_C * a * inv
         g_inv = g_C * a * dist
-        uc = np.maximum(u, ad.ARCOSH_GRAD_FLOOR)
+        uc = np.maximum(u, ARCOSH_GRAD_FLOOR)
         g_u = (g_dist * sk / np.sqrt(uc * uc - 1.0)) * (u >= 1.0)
         g_q = (-g_inv / (root * root) / (2.0 * root)) * (q >= MIN_SQ_NORM)
         g_G += g_q * (2.0 * G / kd) - g_u / kd
@@ -254,7 +306,7 @@ def log_o_rows(X: Tensor, k) -> Tensor:
     sqrt(k) arcosh(max(x_0 / sqrt(k), 1)) and n = sqrt(max(|s|^2,
     MIN_SQ_NORM)). The backward pass is written out by hand; each floor
     stops its argument's gradient, as a clamp would, and arcosh's derivative
-    is bounded as in ``ad.arcosh``.
+    is evaluated at ARCOSH_GRAD_FLOOR or above.
     """
     X, k = ad.as_tensor(X), ad.as_tensor(k)
     sk = np.sqrt(k.data)
@@ -269,7 +321,7 @@ def log_o_rows(X: Tensor, k) -> Tensor:
     def back(g):
         g_coef = (g * space).sum(axis=-1, keepdims=True)
         g_dist = g_coef / nrm
-        uc = np.maximum(u, ad.ARCOSH_GRAD_FLOOR)
+        uc = np.maximum(u, ARCOSH_GRAD_FLOOR)
         g_u = (g_dist * sk / np.sqrt(uc * uc - 1.0)) * (u >= 1.0)
         g_nrm = -g_coef * coef / nrm
         gX = np.empty(X.shape)

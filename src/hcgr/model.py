@@ -41,8 +41,8 @@ points: the Gram matrix and the logarithms at each node in graph
 attention, and the hyperbolic biases in each block's feed-forward. A bias b
 is added as in HGCN, exp_h(PT_{o->h}(b)) at h = exp_o(u) for a layer's
 output tangent u; that point is the Lorentz boost carrying the origin to h
-applied to exp_o(b), so the feed-forward maps only its bias onto the
-hyperboloid, boosts it by each row's u and takes the result back with log_o.
+applied to exp_o(b), so the feed-forward boosts its bias point, mapped
+once per ``caches()``, by each row's u and takes the result back with log_o.
 
 Padding exists only inside the two attention computations: the pair
 scores and the weighted logarithms of graph attention, and the scores,
@@ -252,14 +252,18 @@ def initial_constant(name: str) -> float | None:
 
 @dataclass
 class ModelCaches:
-    """Per-batch curvature tensors shared by every forward pass until
-    parameters change. Nothing catalog-sized is cached: the forward works
-    on the embedding rows it gathers, which are already origin tangents.
+    """Per-batch tensors shared by every forward pass until parameters
+    change: the curvatures, and each block's two feed-forward biases mapped
+    onto its hyperboloid, as (d+1,) points exp_o(ff_b1) and exp_o(ff_b2)
+    under block_k[j]. Nothing catalog-sized is cached: the forward works on
+    the embedding rows it gathers, which are already origin tangents.
     graph_k[0] is the curvature of the item points the margin loss and
     catalog_points use; the forward pass itself does not read it."""
 
     graph_k: list[Tensor]
     block_k: list[Tensor]
+    block_b1: list[Tensor]
+    block_b2: list[Tensor]
 
 
 @dataclass
@@ -372,7 +376,9 @@ class HCGRModel:
         p = self.params
         graph_k = [manifold.curvature_from_raw(t) for t in p.graph_kappa]
         block_k = [manifold.curvature_from_raw(b.kappa) for b in p.blocks]
-        return ModelCaches(graph_k, block_k)
+        b1 = [manifold.exp_o_rows(b.ff_b1, k) for b, k in zip(p.blocks, block_k)]
+        b2 = [manifold.exp_o_rows(b.ff_b2, k) for b, k in zip(p.blocks, block_k)]
+        return ModelCaches(graph_k, block_k, b1, b2)
 
     def item_points(self, ids, k) -> Tensor:
         """Hyperboloid points of the items in ``ids``, an index array of any
@@ -444,11 +450,11 @@ class HCGRModel:
         Z = self._fuse(per_layer)
         E, self_attention = Z, []
         for j, blk in enumerate(p.blocks):
-            E, attn = self._self_attention_block(sb, E, blk, caches.block_k[j])
+            E, attn = self._self_attention_block(sb, E, blk, caches.block_k[j], caches.block_b1[j], caches.block_b2[j])
             self_attention.append(attn)
 
         gate = ad.sigmoid(p.gate_logit)
-        o_vec = ad.add(ad.mul(gate, E[sb.last_row]), ad.mul(ad.sub(1.0, gate), Z[sb.last_row]))
+        o_vec = ad.add(ad.mul(gate, ad.take_rows(E, sb.last_row)), ad.mul(ad.sub(1.0, gate), ad.take_rows(Z, sb.last_row)))
         if single:
             o_vec = o_vec[0]
             graph_attention = [a[0] for a in graph_attention]
@@ -518,7 +524,9 @@ class HCGRModel:
             acc = term if acc is None else ad.add(acc, term)
         return acc
 
-    def _self_attention_block(self, sb: SessionBatch, T: Tensor, blk: BlockParams, k) -> tuple[Tensor, np.ndarray]:
+    def _self_attention_block(
+        self, sb: SessionBatch, T: Tensor, blk: BlockParams, k, b1: Tensor, b2: Tensor
+    ) -> tuple[Tensor, np.ndarray]:
         """Scaled dot-product self-attention and feed-forward, from and to
         packed (N, d) origin tangents T, with a tangent skip link.
 
@@ -530,6 +538,7 @@ class HCGRModel:
         tangents u on the hyperboloid of curvature k as one Lorentz boost:
         the boost of u applied to exp_o(b) is exp_h(PT_{o->h}(b)) at
         h = exp_o(u), and log_o takes it back to the origin tangent space.
+        b1 and b2 are the two biases as points, exp_o(b), from ModelCaches.
         """
         q = ad.matmul(T, blk.w_query)
         key = ad.matmul(T, blk.w_key)
@@ -537,9 +546,9 @@ class HCGRModel:
         # 1/sqrt(d + 1), not 1/sqrt(d): the temperature the model and the oracle are defined with
         f_tan, attn = self_attention(q, key, v, sb.key_mask, sb.slots, math.sqrt(self.hyper.dim + 1))
 
-        h1 = manifold.boost_rows(ad.matmul(f_tan, ad.transpose(blk.ff_w1)), manifold.exp_o_rows(blk.ff_b1, k), k)
+        h1 = manifold.boost_rows(ad.matmul(f_tan, ad.transpose(blk.ff_w1)), b1, k)
         act_tan = ad.leaky_relu(manifold.log_o_rows(h1, k), 0.2)
-        h2 = manifold.boost_rows(ad.matmul(act_tan, ad.transpose(blk.ff_w2)), manifold.exp_o_rows(blk.ff_b2, k), k)
+        h2 = manifold.boost_rows(ad.matmul(act_tan, ad.transpose(blk.ff_w2)), b2, k)
         return ad.add(manifold.log_o_rows(h2, k), f_tan), attn
 
 

@@ -1,7 +1,7 @@
-"""The fused manifold maps, softplus, the graph-attention aggregation and
-the model's two attention nodes, each one autodiff node, against the chains
-of primitives they replaced (the boost, which never was a chain, against the
-chain that writes out its formula).
+"""The fused manifold maps, the geodesic distance, the curvature, the
+graph-attention aggregation and the model's two attention nodes, each one
+autodiff node, against the chains of primitives they replaced (the boost,
+which never was a chain, against the chain that writes out its formula).
 
 A fused op's forward runs its chain's numpy operations in the chain's order,
 so its value has the chain's bytes. Its hand-written backward agrees with
@@ -25,27 +25,27 @@ SHAPES = ((5,), (2, 4))  # leading axes of 2-D and 3-D inputs
 
 
 def composed_log_o(X, k):
-    sk = ad.sqrt(ad.as_tensor(k))
+    sk = ref.sqrt(ad.as_tensor(k))
     x0 = X[..., 0:1]
-    d = ad.mul(sk, ad.arcosh(ad.clamp(ad.div(x0, sk), lo=1.0)))
+    d = ad.mul(sk, ref.arcosh(ref.clamp(ad.div(x0, sk), lo=1.0)))
     space = X[..., 1:]
-    snorm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), lo=mf.MIN_SQ_NORM))
+    snorm = ref.sqrt(ref.clamp(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), lo=mf.MIN_SQ_NORM))
     return ad.mul(space, ad.div(d, snorm))
 
 
 def composed_exp_map(X, V, k):
-    sk = ad.sqrt(ad.as_tensor(k))
-    nrm = ad.sqrt(ad.clamp(mf.rowwise_inner(V, V), lo=mf.MIN_SQ_NORM))
+    sk = ref.sqrt(ad.as_tensor(k))
+    nrm = ref.sqrt(ref.clamp(mf.rowwise_inner(V, V), lo=mf.MIN_SQ_NORM))
     arg = ad.div(nrm, sk)
     out = ad.add(ad.mul(X, ref.cosh(arg)), ad.mul(V, ad.div(ad.mul(sk, ref.sinh(arg)), nrm)))
     space = out[..., 1:]
-    time = ad.sqrt(ad.add(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), k))
+    time = ref.sqrt(ad.add(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), k))
     return ref.concat([time, space], axis=-1)
 
 
 def composed_boost(U, Y, k):
-    sk = ad.sqrt(ad.as_tensor(k))
-    nrm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(U, U), axis=-1, keepdims=True), lo=mf.MIN_SQ_NORM))
+    sk = ref.sqrt(ad.as_tensor(k))
+    nrm = ref.sqrt(ref.clamp(ad.tsum(ad.mul(U, U), axis=-1, keepdims=True), lo=mf.MIN_SQ_NORM))
     arg = ad.div(nrm, sk)
     cosh, sinh = ref.cosh(arg), ref.sinh(arg)
     e = ad.div(U, nrm)
@@ -59,17 +59,22 @@ def composed_weighted_log(A, X, k):
     mask = np.ones(X.shape[-1])
     mask[0] = -1.0
     G = ad.matmul(ad.mul(X, ad.constant(mask)), ad.transpose(X))
-    d_pair = ad.mul(ad.sqrt(ad.as_tensor(k)), ad.arcosh(ad.clamp(ad.div(ad.neg(G), k), lo=1.0)))
-    inv_unorm = ad.div(1.0, ad.sqrt(ad.clamp(ad.sub(ad.div(ad.mul(G, G), k), k), lo=mf.MIN_SQ_NORM)))
+    d_pair = ad.mul(ref.sqrt(ad.as_tensor(k)), ref.arcosh(ref.clamp(ad.div(ref.neg(G), k), lo=1.0)))
+    inv_unorm = ad.div(1.0, ref.sqrt(ref.clamp(ad.sub(ad.div(ad.mul(G, G), k), k), lo=mf.MIN_SQ_NORM)))
     C = ad.mul(ad.mul(ad.mul(A, d_pair), inv_unorm), ad.constant(1.0 - np.eye(X.shape[-2])))
     self_coef = ad.div(ad.tsum(ad.mul(C, G), axis=-1, keepdims=True), k)
     return ad.add(ad.matmul(C, X), ad.mul(X, self_coef))
 
 
+def composed_dist(X, Y, k):
+    u = ref.clamp(ad.div(ref.neg(mf.rowwise_inner(X, Y)), k), lo=1.0)
+    return ad.mul(ref.sqrt(ad.as_tensor(k)), ref.arcosh(u))
+
+
 def composed_softplus(a):
     a = ad.as_tensor(a)
-    absval = ad.add(ad.relu(a), ad.relu(ad.neg(a)))
-    return ad.add(ad.relu(a), ref.log(ad.add(1.0, ref.exp(ad.neg(absval)))))
+    absval = ad.add(ad.relu(a), ad.relu(ref.neg(a)))
+    return ad.add(ad.relu(a), ref.log(ad.add(1.0, ref.exp(ref.neg(absval)))))
 
 
 def _points(rng, lead, k):
@@ -92,6 +97,12 @@ def _inputs(name, lead, seed):
     X = _points(rng, lead, k)
     if name == "log_o_rows":
         return [X, k]
+    if name == "dist_rows":
+        return [X, _points(rng, lead, k), k]
+    if name == "dist_rows_anchor":
+        # one anchor row against the rows of each set, as the margin loss
+        # measures a readout against its positive and negatives
+        return [_points(rng, lead[:-1] + (1,), k), X, k]
     if name == "exp_map_rows":
         return [X, _tangents_at(rng, X, k), k]
     # weighted_log_rows: row-stochastic weights over each set of n points,
@@ -136,6 +147,8 @@ MAPS = {
     "exp_map_rows": (mf.exp_map_rows, composed_exp_map),
     "boost_rows": (mf.boost_rows, composed_boost),
     "weighted_log_rows": (_every_slot, _every_slot_composed),
+    "dist_rows": (mf.dist_rows, composed_dist),
+    "dist_rows_anchor": (mf.dist_rows, composed_dist),
 }
 
 
@@ -183,7 +196,7 @@ class TestFusedMaps:
 def composed_transport_from_o(Y, B, k):
     """Transport of d-wide tangents B at the origin to the points Y:
     b + <y,b>_L / (k + sqrt(k) y_0) (o + y)."""
-    sk = ad.sqrt(ad.as_tensor(k))
+    sk = ref.sqrt(ad.as_tensor(k))
     y0, space = Y[..., 0:1], Y[..., 1:]
     coef = ad.div(ad.tsum(ad.mul(space, B), axis=-1, keepdims=True), ad.add(ad.mul(sk, y0), k))
     return ref.concat([ad.mul(ad.add(y0, sk), coef), ad.add(B, ad.mul(space, coef))], axis=-1)
@@ -279,30 +292,86 @@ class TestFloorRows:
         fused = lambda A, X, k: mf.weighted_log_rows(A, X, k, slots)
         self._check(attend(fused), attend(composed_packed_weighted_log(slots)), [logits, X, k])
 
+    @pytest.mark.parametrize("lead", SHAPES)
+    def test_dist_between_coincident_points(self, lead):
+        # -<x,x>_L / k is 1 up to roundoff, on either side of the floor: no
+        # central differences at the cone point, but the chain's bytes and
+        # finite gradients
+        X, Y, k = _inputs("dist_rows", lead, 2)
+        Y.reshape(-1, D + 1)[1] = X.reshape(-1, D + 1)[1]
+        Y.reshape(-1, D + 1)[3] = X.reshape(-1, D + 1)[3]
+        arrays = [X, Y, k]
+        out = mf.dist_rows(*map(ad.constant, arrays)).data
+        assert out.tobytes() == composed_dist(*map(ad.constant, arrays)).data.tobytes()
+        # the bound of hcgr check's "distance self"
+        assert out.reshape(-1)[[1, 3]].max() < 1e-6
+        _assert_grads_match(mf.dist_rows, composed_dist, arrays)
 
-class TestFusedSoftplus:
+    @pytest.mark.parametrize("lead", SHAPES)
+    def test_dist_with_a_ratio_below_one(self, lead):
+        # a row off the hyperboloid, against the origin: -<x,y>_L / k = 0.9,
+        # floored to 1, so distance 0 and no gradient through that row
+        X, Y, k = _inputs("dist_rows", lead, 2)
+        X.reshape(-1, D + 1)[2] = [np.sqrt(k), 0.0, 0.0, 0.0]
+        Y.reshape(-1, D + 1)[2] = [0.9 * np.sqrt(k), 0.3, -0.1, 0.2]
+        self._check(mf.dist_rows, composed_dist, [X, Y, k])
+        assert mf.dist_rows(ad.constant(X), ad.constant(Y), k).data.reshape(-1)[2] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dist_gradient_bytes_equal_the_chain_on_a_shared_curvature(seed):
+    """Margin hinges of one anchor per row against a positive and three
+    negatives, all under one curvature node that the point maps share:
+    the gradients have the chain's bytes, which the order of k's two terms
+    (through sqrt(k), then through the ratio) decides."""
+
+    def grads(dist):
+        rng = np.random.default_rng(seed)
+        raw = ad.Tensor(np.array(0.4), requires_grad=True)
+        A = ad.Tensor(rng.normal(size=(6, 1, D)), requires_grad=True)
+        P = ad.Tensor(rng.normal(size=(6, 4, D)), requires_grad=True)
+        k = mf.curvature_from_raw(raw)
+        anchor, points = mf.exp_o_rows(A, k), mf.exp_o_rows(P, k)
+        d_pos = dist(anchor, points[:, :1], k)
+        loss = ad.constant(0.0)
+        for j in range(1, 4):
+            loss = ad.add(loss, ad.tsum(ad.relu(ad.add(ad.sub(d_pos, dist(anchor, points[:, j : j + 1], k)), 1.0))))
+        loss.backward()
+        return [t.grad.tobytes() for t in (raw, A, P)]
+
+    assert grads(mf.dist_rows) == grads(composed_dist)
+
+
+class TestFusedCurvature:
     VALUES = np.array([-40.0, -3.0, -0.2, 0.0, 0.7, 5.0, 45.0])
 
-    def test_is_one_node(self):
-        a = ad.Tensor(self.VALUES, requires_grad=True)
-        assert ad.softplus(a)._parents == (a,)
+    def test_curvature_is_one_node(self):
+        raw = ad.Tensor(self.VALUES, requires_grad=True)
+        assert mf.curvature_from_raw(raw)._parents == (raw,)
 
     @pytest.mark.parametrize("shape", [(), (7,), (7, 1), (1, 7, 1)])
     def test_forward_bytes_and_gradients_equal_composed_chain(self, shape):
         x = self.VALUES[4 if shape == () else slice(None)].reshape(shape)
-        assert ad.softplus(ad.constant(x)).data.tobytes() == composed_softplus(ad.constant(x)).data.tobytes()
+        composed = lambda a: ad.add(composed_softplus(a), mf.CURVATURE_FLOOR)
+        assert mf.curvature_from_raw(ad.constant(x)).data.tobytes() == composed(ad.constant(x)).data.tobytes()
         W = np.linspace(-1.0, 2.0, x.size).reshape(shape)
-        [gf], [gc] = _grads(ad.softplus, [x], W), _grads(composed_softplus, [x], W)
+        [gf], [gc] = _grads(mf.curvature_from_raw, [x], W), _grads(composed, [x], W)
         # the chain's relus give 0 at a = 0 exactly, where the derivative is 1/2;
         # everywhere else both are W sigmoid(a)
         off_zero = x != 0.0
         assert np.abs(gf - gc)[off_zero].max(initial=0.0) <= 1e-15 * np.abs(gc).max()
         assert np.abs(gf - W / (1.0 + np.exp(-x))).max() <= 1e-15 * np.abs(W).max()
 
-    def test_curvature_is_two_nodes(self):
-        raw = ad.Tensor(np.array(0.3), requires_grad=True)
-        k = mf.curvature_from_raw(raw)
-        assert k._parents[0]._parents == (raw,)
+    @pytest.mark.parametrize("shape", [(), (7,)])
+    def test_bytes_equal_the_two_node_chain(self, shape):
+        """softplus then the floor, as two nodes: the same value and
+        gradient bytes."""
+        x = self.VALUES[4 if shape == () else slice(None)].reshape(shape)
+        two_nodes = lambda a: ad.add(ref.softplus(a), mf.CURVATURE_FLOOR)
+        assert mf.curvature_from_raw(ad.constant(x)).data.tobytes() == two_nodes(ad.constant(x)).data.tobytes()
+        W = np.linspace(-1.0, 2.0, x.size).reshape(shape)
+        [gf], [gc] = _grads(mf.curvature_from_raw, [x], W), _grads(two_nodes, [x], W)
+        assert gf.tobytes() == gc.tobytes()
 
 
 # -- packed rows: the model's batches ------------------------------------------

@@ -445,9 +445,9 @@ class TestPropertySweep:
 
 def _exp_o_composed(V, k):
     """exp_o_rows as the chain of autodiff primitives that it fuses."""
-    sk = ad.sqrt(ad.as_tensor(k))
+    sk = ref.sqrt(ad.as_tensor(k))
     space = V
-    nrm = ad.sqrt(ad.clamp(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), lo=mf.MIN_SQ_NORM))
+    nrm = ref.sqrt(ref.clamp(ad.tsum(ad.mul(space, space), axis=-1, keepdims=True), lo=mf.MIN_SQ_NORM))
     arg = ad.div(nrm, sk)
     time = ad.mul(sk, ref.cosh(arg))
     space_out = ad.mul(space, ad.div(ad.mul(sk, ref.sinh(arg)), nrm))

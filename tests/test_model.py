@@ -48,8 +48,8 @@ def stages(monkeypatch):
         recorded["fused"] = Z.data.copy()
         return Z
 
-    def record_block(self, sb, T, blk, k):
-        E, attn = block(self, sb, T, blk, k)
+    def record_block(self, sb, T, blk, k, b1, b2):
+        E, attn = block(self, sb, T, blk, k, b1, b2)
         j = [id(b) for b in self.params.blocks].index(id(blk))
         recorded[f"block_{j}"] = E.data.copy()
         return E, attn

@@ -6,7 +6,8 @@ definition. A primitive that only the tests' reference chains need belongs
 in ``tests/ref_ops.py``; a manifold op that only tests call has no place in
 the package, since ``hcgr check`` sweeps the ops the network runs. Every
 ``*_rows`` op is called inside ``checks.manifold_check``, so none of them
-escapes that sweep.
+escapes that sweep. Every op of ``hcgr.manifold`` records one autodiff node:
+it returns one ``ad.primitive`` call and records no other node on the way.
 """
 
 import ast
@@ -75,3 +76,51 @@ def test_every_row_op_is_swept_by_the_manifold_check():
 def test_every_public_autodiff_name_has_a_caller_in_src():
     assert uncalled("autodiff", autodiff.__all__) == []
 
+
+def own_returns(fn: ast.FunctionDef) -> list[ast.Return]:
+    """The return statements of fn itself, not of the functions it nests."""
+    stack, found = list(fn.body), []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Return):
+            found.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def recording_autodiff_names() -> set[str]:
+    """The public names of hcgr.autodiff that record a node: the functions
+    that call ``_node``, ``primitive`` itself aside."""
+    tree = ast.parse((SRC / "autodiff.py").read_text(encoding="utf-8"))
+    names = {
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_node" for n in ast.walk(top))
+    }
+    return names & set(autodiff.__all__) - {"primitive"}
+
+
+def test_every_manifold_op_is_one_primitive_node():
+    recording = recording_autodiff_names()
+    assert {"add", "mul", "tsum", "take_rows", "softmax_rows"} <= recording
+    tree = ast.parse((SRC / "manifold.py").read_text(encoding="utf-8"))
+    ops = [top for top in tree.body if isinstance(top, ast.FunctionDef) and getattr(top.returns, "id", None) == "Tensor"]
+    names = {op.name for op in ops}
+    assert {"rowwise_inner", "dist_rows", "curvature_from_raw", "weighted_log_rows"} <= names
+    # no autodiff node and no other op of the module on the way
+    forbidden = {f"ad.{name}" for name in recording} | names
+    offending = []
+    for op in ops:
+        returns = own_returns(op)
+        if not (
+            len(returns) == 1
+            and isinstance(returns[0].value, ast.Call)
+            and ast.unparse(returns[0].value.func) == "ad.primitive"
+        ):
+            offending.append((op.name, "return"))
+        calls = {ast.unparse(node.func) for node in ast.walk(op) if isinstance(node, ast.Call)}
+        offending += [(op.name, func) for func in sorted(calls & forbidden)]
+    assert offending == []
