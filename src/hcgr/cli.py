@@ -124,14 +124,19 @@ def cmd_synth(args) -> int:
 def cmd_prepare(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     sessions, tokens = dataset.ingest(args.input)
-    ds = dataset.preprocess(
-        sessions,
-        tokens,
-        seed,
-        min_item_freq=args.min_item_freq,
-        min_session_len=args.min_session_len,
-        max_session_len=args.max_session_len,
-    )
+    try:
+        ds = dataset.preprocess(
+            sessions,
+            tokens,
+            seed,
+            min_item_freq=args.min_item_freq,
+            min_session_len=args.min_session_len,
+            max_session_len=args.max_session_len,
+        )
+    except (dataset.DataFormatError, dataset.EmptyDatasetError):
+        raise
+    except ValueError as exc:  # a threshold preprocess refuses
+        raise UsageError(str(exc)) from exc
     # each pair is one filtered session: its prefix and its last click
     stats = dataset.corpus_stats([prefix + [target] for prefix, target in ds.train + ds.valid + ds.test])
     os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)

@@ -12,6 +12,17 @@ with global frequency below a threshold, drop sessions left with fewer than
 a minimum number of items, truncate to the most recent items, then split
 80/10/10 by session with a seeded shuffle. The filter iterates to a fixed
 point so running it on its own output changes nothing.
+
+Both ``filter_sessions`` and ``preprocess`` run one filter, ``_filter_flat``,
+on all clicks as one flat int64 array plus per-session lengths.
+``preprocess`` stays on that array to the split: it re-indexes items densely
+in first-occurrence order from the filter's codes, permutes the session
+offsets with the seeded generator, and slices each (prefix, target) pair out
+of one list of the re-indexed clicks. An item id must be an integer (a
+Python or numpy int, not a bool) or DataFormatError names it; ``preprocess``
+also refuses a negative id, which would index the token list from its end,
+and a ``min_session_len`` below 2, which would leave a pair with an empty
+prefix. ``filter_sessions`` takes any ``min_session_len``.
 """
 
 from __future__ import annotations
@@ -85,6 +96,55 @@ def write_session_log(path: str, sessions: list[list[int]], tokens: list[str] | 
             fh.write(f"s{i}\t{' '.join(names)}\n")
 
 
+def _flatten(sessions: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Every click as one flat int64 array, and each session's length.
+
+    An id that is not an integer (a float, a bool, a string) raises
+    DataFormatError: an int64 array would silently truncate 1.5 or read a
+    bool as 0 or 1.
+    """
+    clicks = list(chain.from_iterable(sessions))
+    if not all(t is int or issubclass(t, np.integer) for t in set(map(type, clicks))):
+        bad = next(v for v in clicks if not (type(v) is int or isinstance(v, np.integer)))
+        raise DataFormatError(f"item id {bad!r} is not an integer")
+    lengths = np.fromiter(map(len, sessions), dtype=np.int64, count=len(sessions))
+    return np.fromiter(clicks, dtype=np.int64, count=len(clicks)), lengths
+
+
+def _filter_flat(
+    flat: np.ndarray, lengths: np.ndarray, min_item_freq: int, min_session_len: int, max_session_len: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed-point filter on the flat clicks of sessions of the given lengths.
+
+    Returns the kept clicks, the code of each (its index among the sorted
+    distinct ids of ``flat``) and the lengths of the surviving sessions, all
+    in input order.
+    """
+    n = lengths.size
+    distinct, codes = np.unique(flat, return_inverse=True)
+    owner = np.repeat(np.arange(n), lengths)  # session of each click, non-decreasing
+    alive = np.ones(n, dtype=bool)
+    m = max_session_len
+    while True:
+        keep = np.bincount(codes)[codes] >= min_item_freq
+        counts = np.bincount(owner[keep], minlength=n)
+        now_alive = alive & (counts >= min_session_len)
+        keep &= now_alive[owner]
+        counts[~now_alive] = 0
+        # truncation as the slice s[-m:]: keep the clicks from position
+        # len - m of their session on, or from -m when m <= 0; for m > 0 it
+        # cuts only a session longer than m
+        if m < 0 or counts.max(initial=0) > m:
+            kept_owner = owner[keep]
+            starts = np.cumsum(counts) - counts
+            pos = np.arange(kept_owner.size) - starts[kept_owner]
+            keep[keep] = pos >= (counts[kept_owner] - m if m > 0 else -m)
+        if keep.all() and np.array_equal(now_alive, alive):
+            break
+        codes, owner, alive = codes[keep], owner[keep], now_alive
+    return distinct[codes], codes, np.bincount(owner, minlength=n)[alive]
+
+
 def filter_sessions(
     sessions: list[list[int]],
     min_item_freq: int = 3,
@@ -98,30 +158,10 @@ def filter_sessions(
     session to ``s[-max_session_len:]``; passes repeat until one removes
     nothing. The passes run over one flat array of all clicks.
     """
-    n = len(sessions)
-    lengths = [len(s) for s in sessions]
-    flat = np.fromiter(chain.from_iterable(sessions), dtype=np.int64, count=sum(lengths))
-    _, codes = np.unique(flat, return_inverse=True)
-    owner = np.repeat(np.arange(n), lengths)  # session of each click, non-decreasing
-    alive = np.ones(n, dtype=bool)
-    m = max_session_len
-    while True:
-        keep = np.bincount(codes)[codes] >= min_item_freq
-        now_alive = alive & (np.bincount(owner[keep], minlength=n) >= min_session_len)
-        keep &= now_alive[owner]
-        # truncation as the slice s[-m:]: keep the clicks from position
-        # len - m of their session on, or from -m when m <= 0
-        kept_owner = owner[keep]
-        counts = np.bincount(kept_owner, minlength=n)
-        starts = np.cumsum(counts) - counts
-        pos = np.arange(kept_owner.size) - starts[kept_owner]
-        keep[keep] = pos >= (counts[kept_owner] - m if m > 0 else -m)
-        if keep.all() and np.array_equal(now_alive, alive):
-            break
-        flat, codes, owner, alive = flat[keep], codes[keep], owner[keep], now_alive
+    flat, _, lengths = _filter_flat(*_flatten(sessions), min_item_freq, min_session_len, max_session_len)
     clicks = flat.tolist()
-    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
-    return [clicks[a:b] for a, b, ok in zip([0] + ends[:-1], ends, alive.tolist()) if ok]
+    ends = np.cumsum(lengths).tolist()
+    return [clicks[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def corpus_stats(sessions: list[list[int]]) -> dict:
@@ -150,42 +190,47 @@ def preprocess(
 
     Each retained session yields one supervised pair: the prefix of all but
     the final click, and that final click as the target. The split remainder
-    goes to the training set.
+    goes to the training set. Item v keeps ``tokens[v]``, or ``f"i{v}"``
+    past the end of ``tokens``. An id that is not a non-negative integer
+    raises DataFormatError; a min_session_len below 2, which would leave a
+    pair with an empty prefix, raises ValueError.
     """
+    if min_session_len < 2:
+        raise ValueError(f"min_session_len must be at least 2 (a prefix and a target), got {min_session_len}")
     if not sessions:
         raise EmptyDatasetError("no sessions to preprocess")
-    filtered = filter_sessions(sessions, min_item_freq, min_session_len, max_session_len)
-    if not filtered:
+    flat, lengths = _flatten(sessions)
+    if flat.min(initial=0) < 0:
+        raise DataFormatError(f"item id {int(flat[np.argmax(flat < 0)])} is not a non-negative integer")
+    flat, codes, lengths = _filter_flat(flat, lengths, min_item_freq, min_session_len, max_session_len)
+    if not lengths.size:
         raise EmptyDatasetError("all sessions removed by filtering")
 
-    remap: dict[int, int] = {}
-    new_tokens: list[str] = []
-    reindexed = []
-    for s in filtered:
-        row = []
-        for v in s:
-            if v not in remap:
-                remap[v] = len(new_tokens)
-                new_tokens.append(tokens[v] if v < len(tokens) else f"i{v}")
-            row.append(remap[v])
-        reindexed.append(row)
+    # dense ids in first-occurrence order, from the filter's codes: the item
+    # of each click first appears at position first_pos, and its dense id
+    # counts the first appearances before that
+    pos = np.arange(codes.size)
+    first = np.full(int(codes.max()) + 1, codes.size)
+    np.minimum.at(first, codes, pos)
+    first_pos = first[codes]
+    is_first = first_pos == pos
+    ids = (np.cumsum(is_first) - 1)[first_pos].tolist()
+    kept_ids = flat[is_first]
+    names = tokens + [f"i{v}" for v in range(len(tokens), int(kept_ids.max()) + 1)]
+    new_tokens = list(map(names.__getitem__, kept_ids.tolist()))
 
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(reindexed))
-    shuffled = [reindexed[i] for i in order]
-    n = len(shuffled)
+    n = lengths.size
+    order = np.random.default_rng(seed).permutation(n)
+    ends = np.cumsum(lengths)
+    pairs = [(ids[a:z], ids[z]) for a, z in zip((ends - lengths)[order].tolist(), (ends - 1)[order].tolist())]
     n_valid = n // 10
     n_test = n // 10
     n_train = n - n_valid - n_test
-
-    def pairs(chunk):
-        return [(s[:-1], s[-1]) for s in chunk]
-
     return Dataset(
         tokens=new_tokens,
-        train=pairs(shuffled[:n_train]),
-        valid=pairs(shuffled[n_train : n_train + n_valid]),
-        test=pairs(shuffled[n_train + n_valid :]),
+        train=pairs[:n_train],
+        valid=pairs[n_train : n_train + n_valid],
+        test=pairs[n_train + n_valid :],
     )
 
 
@@ -195,16 +240,14 @@ def save_prepared(path: str, ds: Dataset, seed: int, stats: dict | None = None):
         "seed": seed,
         "n_items": ds.n_items,
         "tokens": ds.tokens,
-        "splits": {
-            "train": [[list(p), t] for p, t in ds.train],
-            "valid": [[list(p), t] for p, t in ds.valid],
-            "test": [[list(p), t] for p, t in ds.test],
-        },
+        # a (prefix, target) tuple is written as the array [prefix, target]
+        "splits": {"train": ds.train, "valid": ds.valid, "test": ds.test},
         "stats": stats or {},
     }
     tmp = path + ".tmp"
+    # json.dumps runs the C encoder; json.dump would run the Python one
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
     os.replace(tmp, path)
 
 
@@ -230,21 +273,32 @@ def load_prepared(path: str) -> Dataset:
         raise DataFormatError(f"prepared dataset {path} needs a 'tokens' list and a 'splits' object")
     n = len(tokens)
 
-    def item(v):
-        if type(v) is not int or not 0 <= v < n:  # bool is an int subclass, and not an id
-            raise DataFormatError(f"prepared dataset {path}: item id {v!r} is not an integer in [0, {n})")
-        return v
+    def well_formed(rows) -> bool:
+        """The per-row checks below, in bulk: each map, min and max runs in C."""
+        if not rows:
+            return True
+        if set(map(type, rows)) != {list} or set(map(len, rows)) != {2}:
+            return False
+        prefixes, targets = zip(*rows)
+        if set(map(type, prefixes)) != {list} or not all(prefixes):
+            return False
+        ids = list(chain.from_iterable(prefixes))
+        ids += targets
+        return set(map(type, ids)) == {int} and min(ids) >= 0 and max(ids) < n
 
     def pairs(name):
         rows = splits.get(name)
         if not isinstance(rows, list):
             raise DataFormatError(f"prepared dataset {path}: split {name!r} is missing or not a list")
-        out = []
-        for row in rows:
-            if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], list) and row[0]):
-                raise DataFormatError(f"prepared dataset {path}: {name} pair {row!r} is not [non-empty prefix, target]")
-            out.append(([item(v) for v in row[0]], item(row[1])))
-        return out
+        if not well_formed(rows):
+            # raise on the first bad row, in the order a row-by-row read meets it
+            for row in rows:
+                if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], list) and row[0]):
+                    raise DataFormatError(f"prepared dataset {path}: {name} pair {row!r} is not [non-empty prefix, target]")
+                for v in row[0] + [row[1]]:
+                    if type(v) is not int or not 0 <= v < n:  # bool is an int subclass, and not an id
+                        raise DataFormatError(f"prepared dataset {path}: item id {v!r} is not an integer in [0, {n})")
+        return [(prefix, target) for prefix, target in rows]
 
     return Dataset(tokens=tokens, train=pairs("train"), valid=pairs("valid"), test=pairs("test"))
 

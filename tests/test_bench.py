@@ -12,6 +12,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -56,3 +57,38 @@ def test_tracer_times_the_whole_session_graph_build(monkeypatch):
     assert names.count("session_graph.build_graph") == 1
     assert names.count("session_graph.neighborhood") == 1
     assert model.build_graph is originals[0] and model.neighborhood is originals[1]
+
+
+def test_tracer_times_the_whole_preprocess(monkeypatch):
+    # one dataset.preprocess span per call, from before the filter to after
+    # the split, so dataset.preprocess_s times the whole preparation
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spans = importlib.import_module("spans")
+    from hcgr import dataset
+
+    stamps = []
+    filter_flat, make_dataset = dataset._filter_flat, dataset.Dataset
+
+    def timed_filter(*args):
+        stamps.append(("filter", perf_counter()))
+        return filter_flat(*args)
+
+    def timed_dataset(**fields):
+        stamps.append(("split", perf_counter()))
+        return make_dataset(**fields)
+
+    monkeypatch.setattr(dataset, "_filter_flat", timed_filter)
+    monkeypatch.setattr(dataset, "Dataset", timed_dataset)
+    sessions = dataset.synth_hierarchical(30, 200, seed=3)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for seed in (1, 2):
+            dataset.preprocess(sessions, [f"i{v}" for v in range(30)], seed=seed)
+    finally:
+        tracer.uninstall()
+    calls = [span for span in tracer.spans if span[0] == "dataset.preprocess"]
+    assert len(calls) == 2 and len(tracer.spans) == 2
+    assert [name for name, _ in stamps] == ["filter", "split"] * 2
+    for (_, start, end, _, _), (_, filtered), (_, split) in zip(calls, stamps[::2], stamps[1::2]):
+        assert start <= filtered <= split <= end

@@ -114,6 +114,17 @@ class TestPrepare:
         assert run("prepare", "--input", str(log), "--output", str(out / "p.json"), "--seed", "0") == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("min_session_len", ["1", "0"])
+    def test_min_session_len_below_two_is_a_usage_error(self, tmp_path, capsys, min_session_len):
+        # a one-click session would give a pair that train refuses: [[], target]
+        log = tmp_path / "fix.txt"
+        log.write_text("s1\ta b c\ns2\ta\ns3\tb c\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("prepare", "--input", str(log), "--output", str(out / "p.json"), "--seed", "0",
+                   "--min-item-freq", "1", "--min-session-len", min_session_len) == 2
+        assert "min_session_len" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_input_exits_2(self, tmp_path, capsys):
         log = tmp_path / "bad.txt"
         log.write_text("line without tab\n", encoding="utf-8")

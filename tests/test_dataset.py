@@ -1,9 +1,12 @@
+import io
 import json
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from hcgr import cli
 from hcgr import dataset as dm
 
 
@@ -17,6 +20,72 @@ def filter_sessions_reference(sessions, min_item_freq=3, min_session_len=3, max_
         if kept == current:
             return kept
         current = kept
+
+
+def preprocess_reference(sessions, tokens, seed, min_item_freq=3, min_session_len=3, max_session_len=50):
+    """preprocess as the per-session list loop it replaced, on filter_sessions_reference."""
+    if not sessions:
+        raise dm.EmptyDatasetError("no sessions to preprocess")
+    filtered = filter_sessions_reference(sessions, min_item_freq, min_session_len, max_session_len)
+    if not filtered:
+        raise dm.EmptyDatasetError("all sessions removed by filtering")
+
+    remap = {}
+    new_tokens = []
+    reindexed = []
+    for s in filtered:
+        row = []
+        for v in s:
+            if v not in remap:
+                remap[v] = len(new_tokens)
+                new_tokens.append(tokens[v] if v < len(tokens) else f"i{v}")
+            row.append(remap[v])
+        reindexed.append(row)
+
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(reindexed))
+    shuffled = [reindexed[i] for i in order]
+    n = len(shuffled)
+    n_valid = n // 10
+    n_test = n // 10
+    n_train = n - n_valid - n_test
+
+    def pairs(chunk):
+        return [(s[:-1], s[-1]) for s in chunk]
+
+    return dm.Dataset(
+        tokens=new_tokens,
+        train=pairs(shuffled[:n_train]),
+        valid=pairs(shuffled[n_train : n_train + n_valid]),
+        test=pairs(shuffled[n_train + n_valid :]),
+    )
+
+
+def prepared_reference_text(ds, seed, stats):
+    """The prepared document as save_prepared wrote it with json.dump."""
+    doc = {
+        "format": dm.PREPARED_FORMAT,
+        "seed": seed,
+        "n_items": ds.n_items,
+        "tokens": ds.tokens,
+        "splits": {
+            "train": [[list(p), t] for p, t in ds.train],
+            "valid": [[list(p), t] for p, t in ds.valid],
+            "test": [[list(p), t] for p, t in ds.test],
+        },
+        "stats": stats or {},
+    }
+    out = io.StringIO()
+    json.dump(doc, out)
+    return out.getvalue()
+
+
+def preprocess_outcome(fn, *args, **kwargs):
+    try:
+        ds = fn(*args, **kwargs)
+    except dm.EmptyDatasetError:
+        return "empty"
+    return ds.tokens, ds.train, ds.valid, ds.test
 
 
 def synth_hierarchical_reference(n_items, n_sessions, seed):
@@ -189,6 +258,59 @@ class TestPreprocess:
         with pytest.raises(dm.EmptyDatasetError):
             dm.preprocess([], [], seed=0)
 
+    def test_equals_reference_on_random_corpora(self):
+        # token lists shorter than the largest id exercise the f"i{v}" names
+        rng = np.random.default_rng(2)
+        kept = 0
+        for _ in range(2000):
+            n_ids = int(rng.integers(1, 31))
+            sessions = [rng.integers(0, n_ids, size=rng.integers(0, 15)).tolist() for _ in range(rng.integers(1, 41))]
+            top = max((max(s) for s in sessions if s), default=0)
+            tokens = [f"t{v}" for v in range(int(rng.integers(0, top + 1)))]
+            kwargs = dict(
+                min_item_freq=int(rng.integers(0, 5)),
+                min_session_len=int(rng.integers(2, 5)),
+                max_session_len=int(rng.choice([-3, 0, 1, 2, 3, 5, 50])),
+            )
+            seed = int(rng.integers(0, 2**31))
+            want = preprocess_outcome(preprocess_reference, sessions, tokens, seed, **kwargs)
+            assert preprocess_outcome(dm.preprocess, sessions, tokens, seed, **kwargs) == want, (sessions, tokens, seed, kwargs)
+            kept += want != "empty"
+        assert kept > 500
+
+    def test_equals_reference_on_a_32k_session_corpus(self):
+        rng = np.random.default_rng(11)
+        sessions = [rng.integers(0, 50_000, size=rng.integers(3, 9)).tolist() for _ in range(32_000)]
+        tokens = [f"i{v}" for v in range(50_000)]
+        ds = dm.preprocess(sessions, tokens, seed=11)
+        assert (ds.tokens, ds.train, ds.valid, ds.test) == preprocess_outcome(preprocess_reference, sessions, tokens, 11)
+        assert len(ds.train) > 20_000
+
+    def test_negative_id_rejected(self):
+        # a negative id would index tokens from the end: -1 would take "c"
+        sessions = [[-1, 0, 1], [0, 1, -1], [1, -1, 0], [0, 1, -1]]
+        with pytest.raises(dm.DataFormatError, match="item id -1 is not a non-negative integer"):
+            dm.preprocess(sessions, ["a", "b", "c"], seed=0)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None])
+    def test_non_integer_id_rejected(self, bad):
+        sessions = [[0, 1, 2]] * 3 + [[0, bad, 2]]
+        with pytest.raises(dm.DataFormatError, match=f"item id {re.escape(repr(bad))} is not an integer"):
+            dm.preprocess(sessions, ["a", "b", "c"], seed=0)
+
+    def test_numpy_integer_ids_accepted(self):
+        sessions = [[0, 1, 2, 3]] * 5
+        as_numpy = [[np.int64(v) for v in s] for s in sessions]
+        assert preprocess_outcome(dm.preprocess, as_numpy, ["a", "b", "c", "d"], 0) == preprocess_outcome(
+            dm.preprocess, sessions, ["a", "b", "c", "d"], 0
+        )
+
+    @pytest.mark.parametrize("min_session_len", [1, 0, -1])
+    def test_min_session_len_below_two_rejected(self, min_session_len):
+        # a one-click session would give a pair with an empty prefix
+        with pytest.raises(ValueError, match="min_session_len"):
+            dm.preprocess([[0, 1, 2]] * 5 + [[0]], ["a", "b", "c"], seed=0, min_item_freq=1, min_session_len=min_session_len)
+
 
 class TestPreparedRoundTrip:
     def test_save_load(self, tmp_path):
@@ -200,6 +322,33 @@ class TestPreparedRoundTrip:
         back = dm.load_prepared(path)
         assert back.tokens == ds.tokens
         assert back.train == ds.train and back.valid == ds.valid and back.test == ds.test
+
+    @pytest.mark.parametrize("thresholds", [(), ("--min-item-freq", "1", "--min-session-len", "2", "--max-session-len", "4")])
+    def test_prepare_writes_the_reference_document(self, tmp_path, thresholds):
+        log = str(tmp_path / "synth.txt")
+        out = str(tmp_path / "prepared.json")
+        assert cli.main(["synth", "--items", "60", "--sessions", "300", "--seed", "4", "--output", log]) == 0
+        assert cli.main(["prepare", "--input", log, "--output", out, "--seed", "4", *thresholds]) == 0
+        args = dict(zip(thresholds[::2], map(int, thresholds[1::2])))
+        sessions, tokens = dm.ingest(log)
+        ds = preprocess_reference(sessions, tokens, 4, args.get("--min-item-freq", 3),
+                                  args.get("--min-session-len", 3), args.get("--max-session-len", 50))
+        stats = dm.corpus_stats([p + [t] for p, t in ds.train + ds.valid + ds.test])
+        with open(out, encoding="utf-8") as fh:
+            assert fh.read() == prepared_reference_text(ds, 4, stats)
+
+    def test_first_bad_row_is_named(self, tmp_path):
+        doc = self._doc()
+        doc["splits"]["valid"] = [[[1], 0], [[1, 7], 0], [[], 0], [[0], -1]]
+        doc["splits"]["test"] = [[[], 1]]
+        with pytest.raises(dm.DataFormatError, match=r"item id 7 is not an integer in \[0, 3\)"):
+            dm.load_prepared(self._write(tmp_path, doc))
+        doc["splits"]["valid"] = [[[1], 0], [[1], 0, 2], [[0], -1]]
+        with pytest.raises(dm.DataFormatError, match=r"valid pair \[\[1\], 0, 2\] is not \[non-empty prefix, target\]"):
+            dm.load_prepared(self._write(tmp_path, doc))
+        doc["splits"]["valid"] = [[[1], 0]]
+        with pytest.raises(dm.DataFormatError, match=r"test pair \[\[\], 1\]"):
+            dm.load_prepared(self._write(tmp_path, doc))
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
